@@ -1,5 +1,6 @@
-// Microbenchmark of the simulator itself: how fast the cycle-counted NNE
-// datapath and the untiled reference executor run on the host. Useful for
+// Microbenchmark of the simulator itself: how fast the int8 layer executor
+// runs on the host, through its allocating reference form and through the
+// NNE entry point at each kernel-tier cap. Useful for
 // sizing experiments; not a claim about FPGA speed (that is what the cycle
 // model is for).
 #include <benchmark/benchmark.h>
@@ -59,25 +60,26 @@ void bm_reference_layer(benchmark::State& state) {
 }
 BENCHMARK(bm_reference_layer);
 
+// The accelerator's per-layer entry point, with the plan and scratch held
+// across calls as the predict lanes hold them; the argument is the tier cap.
 void bm_nne_layer(benchmark::State& state) {
   auto& s = setup();
   const quant::QLayer& layer = s.qnet->layers.front();
-  core::NneConfig config;
-  config.pc = static_cast<int>(state.range(0));
-  config.pf = static_cast<int>(state.range(1));
-  config.pv = static_cast<int>(state.range(2));
+  const quant::LayerExecPlan plan = quant::build_layer_exec_plan(layer);
+  const auto tier = static_cast<nn::kernels::Tier>(state.range(0));
+  core::NneScratch scratch;
+  quant::QTensor out;
   for (auto _ : state) {
-    auto result = core::nne_run_layer(layer, s.image, nullptr, false, nullptr,
-                                      s.qnet->dropout_keep, config);
-    benchmark::DoNotOptimize(result.output.data.data());
+    core::nne_run_layer_into(layer, plan, s.image, nullptr, false, nullptr,
+                             s.qnet->dropout_keep, core::NneConfig{}, tier, scratch, out);
+    benchmark::DoNotOptimize(out.data.data());
   }
   state.SetItemsProcessed(state.iterations() * layer.geom.macs());
-  state.SetLabel("PC/PF/PV=" + std::to_string(state.range(0)) + "/" +
-                 std::to_string(state.range(1)) + "/" + std::to_string(state.range(2)));
+  state.SetLabel(nn::kernels::tier_name(tier));
 }
-BENCHMARK(bm_nne_layer)->Args({8, 8, 1})->Args({64, 64, 1})->Args({128, 128, 16});
+BENCHMARK(bm_nne_layer)->DenseRange(0, 2);
 
-// The NNE channel-tile inner product in isolation: plain per-term loop vs
+// The executor's inner product in isolation: plain per-term loop vs
 // kernels::dot_i8_zp on a VGG-class term count (in_c=128, 3x3 kernel).
 void bm_int8_dot_scalar(benchmark::State& state) {
   const int len = static_cast<int>(state.range(0));

@@ -88,19 +88,6 @@ struct TenantReport {
   double req_per_sec = 0.0;
 };
 
-/// One tenant's cold-start comparison: whole-plan materialization vs
-/// streamed per-segment prefetch ("cold_start" rows of BENCH_serve.json).
-struct ColdStartRow {
-  std::string name;
-  double pass_ms = 0.0;           ///< modelled single-request inference pass
-  double whole_reload_ms = 0.0;   ///< flat whole-plan DDR reload price
-  double streamed_stall_ms = 0.0; ///< non-overlapped remainder under prefetch
-  double wall_whole_ms = 0.0;     ///< measured TTFR, materializing resolve
-  double wall_streamed_ms = 0.0;  ///< measured TTFR, streamed resolve
-  bool bit_identical = true;      ///< cold responses match the hot rerun
-  bool gate_ok = true;            ///< modelled streamed strictly < whole-plan
-};
-
 const char* dispatch_name(serve::DispatchMode mode) {
   return mode == serve::DispatchMode::fifo ? "fifo" : "cost";
 }
@@ -115,8 +102,7 @@ const char* policy_name(serve::OverloadPolicy policy) {
 }
 
 void write_json(const char* path, const std::vector<Row>& rows,
-                const TenantReport& tenants,
-                const std::vector<ColdStartRow>& cold_rows) {
+                const TenantReport& tenants) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "serve_throughput: cannot open %s for writing\n", path);
@@ -164,21 +150,6 @@ void write_json(const char* path, const std::vector<Row>& rows,
                  static_cast<unsigned long long>(t.stats.cold_starts), t.cold_reload_ms,
                  t.bit_identical ? "true" : "false",
                  i + 1 < tenants.rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"cold_start\": [\n");
-  for (std::size_t i = 0; i < cold_rows.size(); ++i) {
-    const ColdStartRow& c = cold_rows[i];
-    std::fprintf(f,
-                 "    {\"model\": \"%s\", \"pass_ms\": %.6f, "
-                 "\"whole_reload_ms\": %.6f, \"streamed_stall_ms\": %.6f, "
-                 "\"ttfr_whole_ms\": %.6f, \"ttfr_streamed_ms\": %.6f, "
-                 "\"wall_whole_ms\": %.3f, \"wall_streamed_ms\": %.3f, "
-                 "\"bit_identical\": %s, \"streamed_cheaper\": %s}%s\n",
-                 c.name.c_str(), c.pass_ms, c.whole_reload_ms, c.streamed_stall_ms,
-                 c.pass_ms + c.whole_reload_ms, c.pass_ms + c.streamed_stall_ms,
-                 c.wall_whole_ms, c.wall_streamed_ms,
-                 c.bit_identical ? "true" : "false", c.gate_ok ? "true" : "false",
-                 i + 1 < cold_rows.size() ? "," : "");
   }
   std::fprintf(f,
                "  ],\n  \"registry\": {\"req_per_sec\": %.1f, \"models\": %llu, "
@@ -234,7 +205,6 @@ int main(int argc, char** argv) {
   double latency_target_ms = 0.0;  // 0 = auto (2x a measured healthy p99)
   const char* json_path = nullptr;
   const char* scenarios_json_path = nullptr;
-  bool stream_smoke = false;  // run ONLY the cold-start section (ctest gate)
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc)
       num_requests = std::atoi(argv[++i]);
@@ -250,8 +220,6 @@ int main(int argc, char** argv) {
       json_path = argv[++i];
     else if (std::strcmp(argv[i], "--scenarios-json") == 0 && i + 1 < argc)
       scenarios_json_path = argv[++i];
-    else if (std::strcmp(argv[i], "--stream-smoke") == 0)
-      stream_smoke = true;
   }
 
   // Shared serving fixtures (bench/serve_fixture.h): the tiny quantized CNN
@@ -266,112 +234,6 @@ int main(int argc, char** argv) {
       num_requests, num_samples, std::thread::hardware_concurrency());
 
   const core::AcceleratorConfig accel_config = bench::serve_accel_config();
-
-  // --- cold-start: whole-plan reload vs streamed per-layer prefetch --------
-  // Time-to-first-response for an evicted tenant under both cold-resolve
-  // strategies: MATERIALIZE the whole plan before serving (pre-segment
-  // behaviour; modelled TTFR = pass + flat DDR reload of every weight byte)
-  // vs STREAM segments through the double-buffered prefetch source
-  // (modelled TTFR = pass + only the non-overlapped stall remainder —
-  // layer k+1's burst rides behind layer k's compute). The modelled
-  // comparison is a HARD GATE: streamed must be strictly cheaper for every
-  // tenant. Wall TTFRs are reported for reference only — on a 1-core host
-  // segment builds and compute serialize, compressing the wall gap. Every
-  // cold response must be bit-identical to the hot rerun on the same
-  // stream id (hard gate), proving rebuilt segments are pure functions of
-  // the kept constants. Each (tenant, mode) cell uses a FRESH server so
-  // the first request genuinely exercises the cold path instead of a
-  // cached replica bind. --stream-smoke runs only this section (the
-  // bench.stream_smoke ctest entry).
-  std::vector<ColdStartRow> cold_rows;
-  const auto run_cold_start = [&]() -> bool {
-    const bench::ServeFixture cnn_b = bench::make_cnn12b_fixture();
-    const bench::ServeFixture* fixtures[3] = {&cnn, &mlp, &cnn_b};
-    const std::vector<std::string> names = {"cnn12", "mlp49", "cnn12b"};
-
-    // Probe publish to harvest per-version payload accounting for the
-    // modelled numbers (weight_bytes + per-segment bytes).
-    serve::CostModel cost(core::PerfConfig{accel_config.nne, accel_config.ddr},
-                          accel_config.use_intermediate_caching);
-    std::vector<std::vector<int>> all_missing(3);
-    {
-      serve::ModelRegistry probe;
-      for (int m = 0; m < 3; ++m) {
-        serve::ModelConfig model_config;
-        model_config.workload_id = fixtures[m]->workload_id;
-        const auto version = probe.publish(names[m], fixtures[m]->qnet, model_config);
-        cost.bind_model(static_cast<serve::ModelKey>(m), version->network->describe(),
-                        version->weight_bytes, nullptr, version->segment_bytes);
-        for (int l = 0; l < static_cast<int>(version->segment_bytes.size()); ++l)
-          all_missing[m].push_back(l);
-      }
-    }
-
-    util::TextTable cold_table(
-        "cold start — whole-plan materialization vs streamed segment prefetch");
-    cold_table.set_header({"model", "pass ms", "whole reload ms", "streamed stall ms",
-                           "TTFR whole", "TTFR streamed", "wall whole", "wall streamed",
-                           "bit-identical"});
-    bool ok = true;
-    for (int m = 0; m < 3; ++m) {
-      ColdStartRow row;
-      row.name = names[m];
-      row.pass_ms = cost.modelled_ms(static_cast<serve::ModelKey>(m), -1, num_samples);
-      row.whole_reload_ms = cost.cold_reload_ms(static_cast<serve::ModelKey>(m));
-      row.streamed_stall_ms =
-          cost.streamed_reload_ms(static_cast<serve::ModelKey>(m), all_missing[m]);
-      row.gate_ok = row.streamed_stall_ms < row.whole_reload_ms;
-
-      for (const bool streamed : {false, true}) {
-        serve::RegistryConfig registry_config;
-        registry_config.stream_cold_plans = streamed;
-        auto registry = std::make_shared<serve::ModelRegistry>(registry_config);
-        for (int t = 0; t < 3; ++t) {
-          serve::ModelConfig model_config;
-          model_config.workload_id = fixtures[t]->workload_id;
-          registry->publish(names[t], fixtures[t]->qnet, model_config);
-        }
-        serve::ServerConfig server_config;
-        server_config.max_batch = 1;
-        server_config.default_model = names[0];
-        serve::Server server(registry, accel_config, server_config);
-        registry->evict_segments(names[m]);  // force the tenant fully cold
-
-        serve::Request request;
-        request.image = bench::fixture_image(*fixtures[m], serve::ScenarioEvent{});
-        request.options.num_samples = num_samples;
-        request.model = names[m];
-        request.stream_id = static_cast<std::uint64_t>(m);
-
-        util::Stopwatch watch;
-        serve::Request cold_request = request;
-        const serve::Response cold = server.submit(std::move(cold_request)).get();
-        const double wall_ms = watch.elapsed_seconds() * 1e3;
-        const serve::Response hot = server.submit(std::move(request)).get();
-        row.bit_identical = row.bit_identical && cold.cold_start &&
-                            cold.probs.max_abs_diff(hot.probs) == 0.0f &&
-                            cold.escalated == hot.escalated;
-        (streamed ? row.wall_streamed_ms : row.wall_whole_ms) = wall_ms;
-      }
-      ok = ok && row.bit_identical && row.gate_ok;
-      cold_table.add_row({row.name, util::fixed(row.pass_ms, 4),
-                          util::fixed(row.whole_reload_ms, 4),
-                          util::fixed(row.streamed_stall_ms, 4),
-                          util::fixed(row.pass_ms + row.whole_reload_ms, 4),
-                          util::fixed(row.pass_ms + row.streamed_stall_ms, 4),
-                          util::fixed(row.wall_whole_ms, 2),
-                          util::fixed(row.wall_streamed_ms, 2),
-                          row.bit_identical ? "yes" : "NO"});
-      cold_rows.push_back(row);
-    }
-    std::printf("%s\n", cold_table.to_string().c_str());
-    if (!ok)
-      std::fprintf(stderr,
-                   "FATAL: cold start — a streamed TTFR failed to undercut the "
-                   "whole-plan baseline, or a cold response diverged\n");
-    return ok;
-  };
-  if (stream_smoke) return run_cold_start() ? 0 : 1;
 
   // Wave -> scenario: every wave's stimulus stream now comes from the
   // shared generator (request r at stream id r, batch-independent).
@@ -804,15 +666,13 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(tenant_report.registry.reloads),
       static_cast<unsigned long long>(tenant_report.registry.swaps));
 
-  const bool cold_start_ok = run_cold_start();
-
   std::printf(
       "Reading the tables: larger max_batch coalesces more requests per\n"
       "accelerator pass; replica rows (R>1) pull per-shape batch groups\n"
       "concurrently, each replica on its slice of the shared pool —\n"
-      "throughput scales with physical cores, so a 1-core container reports\n"
-      "flat req/s (and FIFO-vs-LPT p99 differences compress toward zero,\n"
-      "since all compute serializes anyway). The dispatch table's cost-aware\n"
+      "throughput scales with physical cores, so req/s flattens once R\n"
+      "exceeds them (and FIFO-vs-LPT p99 differences compress toward zero,\n"
+      "since compute then serializes). The dispatch table's cost-aware\n"
       "rows rank queued shape groups with serve::CostModel (the paper's\n"
       "performance model) and serve the costliest first. The overload table\n"
       "saturates a depth-6 queue: adaptive downgrades routed requests to the\n"
@@ -829,10 +689,9 @@ int main(int argc, char** argv) {
     all_identical = all_identical && row.bit_identical;
     all_consistent = all_consistent && row.counters_consistent;
   }
-  if (json_path != nullptr) write_json(json_path, rows, tenant_report, cold_rows);
+  if (json_path != nullptr) write_json(json_path, rows, tenant_report);
   if (scenarios_json_path != nullptr)
     write_scenarios_json(scenarios_json_path, scenario_rows);
-  if (!cold_start_ok) return 1;  // its own FATAL already printed
   if (!all_identical) {
     std::fprintf(stderr,
                  "FATAL: batch size, replica count, queue depth, dispatch mode, "

@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
   table.set_header({"Opt-Mode", "{L, S}", "FPGA [ms]", "CPU [ms]", "GPU [ms]", "aPE [nats]",
                     "ECE [%]", "Accuracy [%]", "latency order"});
 
-  const int repeats = 3;  // paper uses 5; trimmed for single-core runtime
+  const int repeats = 3;  // paper uses 5; trimmed to keep CI runtime short
   {
     bnnbench::Workload lenet = bnnbench::prepare_lenet5();
     run_network(lenet, table, repeats);

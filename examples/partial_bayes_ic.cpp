@@ -82,7 +82,7 @@ int main() {
               static_cast<double>(a.probs.max_abs_diff(b.probs)));
   std::printf("  modelled latency                  : %.3f ms vs %.3f ms\n",
               a.stats.latency_ms, b.stats.latency_ms);
-  std::printf("  functional PE cycles executed     : %lld vs %lld\n",
+  std::printf("  PE cycles charged (closed form)    : %lld vs %lld\n",
               static_cast<long long>(accel_ic.last_functional_compute_cycles()),
               static_cast<long long>(accel_plain.last_functional_compute_cycles()));
   return 0;

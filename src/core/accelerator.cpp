@@ -1,6 +1,5 @@
 #include "core/accelerator.h"
 
-#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -16,11 +15,12 @@ namespace {
 
 // Reusable per-worker storage for predict lanes — the quantized analogue of
 // the float path's ReplayArena. Thread-local so lanes never contend: a lane
-// keeps every layer output, the NNE scratch (accumulators, packed windows)
-// and its Bernoulli sampler across (image, sample) pairs, predict calls and
-// accelerator instances. All buffers grow to the largest shapes seen and
-// are fully overwritten per use, so steady-state lanes are allocation-free;
-// grow_events counts the warmup growths (plus NneScratch's own counter).
+// keeps every layer output, the executor scratch (pre-pool map, packed
+// window, materialized weight rows) and its Bernoulli sampler across
+// (image, sample) pairs, predict calls and accelerator instances. All
+// buffers grow to the largest shapes seen and are fully overwritten per
+// use, so steady-state lanes are allocation-free; grow_events counts the
+// warmup growths (plus NneScratch's own counter).
 struct LaneArena {
   NneScratch scratch;
   std::vector<quant::QTensor> outputs;  // indexed by TRUE layer index
@@ -50,38 +50,18 @@ Accelerator::Accelerator(quant::QuantNetwork network, AcceleratorConfig config)
                   config) {}
 
 Accelerator::Accelerator(std::shared_ptr<const quant::QuantNetwork> network,
-                         AcceleratorConfig config)
-    : network_(std::move(network)), config_(config) {
-  util::require(network_ != nullptr, "accelerator: null network");
-  plan_ = std::make_shared<const quant::NetworkExecPlan>(
-      quant::build_network_exec_plan(*network_));
-  desc_ = network_->describe();
-  // Fail fast on a non-realizable dropout probability instead of at the
-  // first predict() (each (image, sample) lane builds its own sampler).
-  (void)lfsrs_for_probability(network_->dropout_p);
-}
-
-Accelerator::Accelerator(std::shared_ptr<const quant::QuantNetwork> network,
-                         std::shared_ptr<const quant::NetworkExecPlan> plan,
-                         AcceleratorConfig config)
+                         AcceleratorConfig config,
+                         std::shared_ptr<const quant::NetworkExecPlan> plan)
     : network_(std::move(network)), plan_(std::move(plan)), config_(config) {
   util::require(network_ != nullptr, "accelerator: null network");
-  util::require(plan_ != nullptr, "accelerator: null execution plan");
+  if (plan_ == nullptr)
+    plan_ = std::make_shared<const quant::NetworkExecPlan>(
+        quant::build_network_exec_plan(*network_));
   util::require(plan_->layers.size() == network_->layers.size(),
                 "accelerator: plan does not match the network");
   desc_ = network_->describe();
-  (void)lfsrs_for_probability(network_->dropout_p);
-}
-
-Accelerator::Accelerator(std::shared_ptr<const quant::QuantNetwork> network,
-                         std::shared_ptr<quant::PlanSource> source,
-                         AcceleratorConfig config)
-    : network_(std::move(network)), source_(std::move(source)), config_(config) {
-  util::require(network_ != nullptr, "accelerator: null network");
-  util::require(source_ != nullptr, "accelerator: null plan source");
-  util::require(source_->num_layers() == static_cast<int>(network_->layers.size()),
-                "accelerator: plan source does not match the network");
-  desc_ = network_->describe();
+  // Fail fast on a non-realizable dropout probability instead of at the
+  // first predict() (each (image, sample) lane builds its own sampler).
   (void)lfsrs_for_probability(network_->dropout_p);
 }
 
@@ -204,20 +184,9 @@ Accelerator::BatchPrediction Accelerator::predict_batch(
         layer.input_source < 0 ? image : stored(layer.input_source);
     const quant::QTensor* shortcut =
         layer.geom.has_shortcut ? &stored(layer.shortcut_source) : nullptr;
-    // Streaming path: hint the NEXT layer's segment before resolving this
-    // one (the double-buffer overlap — layer k+1's modelled reload starts
-    // while layer k computes), then hold segment k for the duration of the
-    // kernel call. Fully-resident path reads the prebuilt plan directly.
-    quant::PlanSegment streamed;
-    if (source_ != nullptr) {
-      if (index + 1 < source_->num_layers()) source_->prefetch(index + 1);
-      streamed = source_->segment(index);
-    }
-    const quant::LayerExecPlan& plan_layer =
-        source_ != nullptr ? *streamed : plan_->layer(index);
     const NneLayerStats stats = nne_run_layer_into(
-        layer, plan_layer, input, shortcut, site_active, masks, network_->dropout_keep,
-        config_.nne, config_.kernel_tier, scratch, out);
+        layer, plan_->layer(index), input, shortcut, site_active, masks,
+        network_->dropout_keep, config_.nne, config_.kernel_tier, scratch, out);
     cycles += stats.compute_cycles;
   };
 
@@ -296,26 +265,8 @@ Accelerator::BatchPrediction Accelerator::predict_batch(
           quant::QTensor& masked = arena.outputs[static_cast<std::size_t>(cut)];
           if (boundary.data.size() > masked.data.capacity()) ++arena.grow_events;
           masked = boundary;
-          {
-            const quant::QLayer& cut_layer =
-                network_->layers[static_cast<std::size_t>(cut)];
-            const std::int32_t zp = cut_layer.out.zero_point;
-            const int plane = masked.height() * masked.width();
-            for (int f = 0; f < masked.channels(); ++f) {
-              const bool drop = sampler.next_drop();
-              std::int8_t* row =
-                  masked.data.data() + static_cast<std::size_t>(f) * plane;
-              if (drop) {
-                std::fill(row, row + plane, quant::saturate_int8(zp));
-              } else {
-                for (int i = 0; i < plane; ++i)
-                  row[i] = quant::saturate_int8(
-                      quant::fixed_multiply(static_cast<std::int32_t>(row[i]) - zp,
-                                            network_->dropout_keep) +
-                      zp);
-              }
-            }
-          }
+          quant::apply_dropout(network_->layers[static_cast<std::size_t>(cut)], masked,
+                               sampler, network_->dropout_keep);
 
           // Suffix layers into the arena's true-index slots; inputs before
           // the cut resolve against the shared prefix, the cut itself to

@@ -1,11 +1,12 @@
 // Top-level accelerator simulator: ties the quantized network, the NNE
 // datapath, the Bernoulli sampler and the IC schedule together.
 //
-// `predict` / `predict_batch` are the functional path — they execute every
-// layer with the hardware tiling (bit-exact against quant/qops) while
-// drawing Dropout-Unit masks from the simulated LFSR sampler, and report
-// the modelled latency. `estimate` is the timing-only path for networks too
-// large to execute.
+// `predict` / `predict_batch` are the functional path — they run every
+// layer through the one int8 executor (quant::run_layer_into, via
+// nne_run_layer_into) while drawing Dropout-Unit masks from the simulated
+// LFSR sampler, charge cycles by the closed form, and report the modelled
+// latency. `estimate` is the timing-only path for networks too large to
+// execute.
 #ifndef BNN_CORE_ACCELERATOR_H
 #define BNN_CORE_ACCELERATOR_H
 
@@ -71,27 +72,15 @@ class Accelerator {
   /// hand-assembled networks (quantize_model output is already annotated).
   Accelerator(quant::QuantNetwork network, AcceleratorConfig config);
 
-  /// Shares an already-wrapped network (no copy). The network must not be
+  /// Shares an already-wrapped network (no copy) and, when given, a prebuilt
+  /// execution plan (which must be build_network_exec_plan(*network) or
+  /// equivalent); a null plan means "build one". The network must not be
   /// mutated for the accelerator's lifetime. Callers wanting the binary
-  /// cycle model should annotate before wrapping (quantize_model does).
-  Accelerator(std::shared_ptr<const quant::QuantNetwork> network, AcceleratorConfig config);
-
-  /// Shares both the network AND a prebuilt execution plan (which must be
-  /// build_network_exec_plan(*network) or equivalent). The registry-serving
-  /// path uses this to bind many (replica, model) accelerators without
-  /// rebuilding per-layer plans each time.
-  Accelerator(std::shared_ptr<const quant::QuantNetwork> network,
-              std::shared_ptr<const quant::NetworkExecPlan> plan, AcceleratorConfig config);
-
-  /// Streams exec-plan segments from `source` instead of holding a whole
-  /// prebuilt plan: each layer's segment is resolved on first use, and the
-  /// NEXT layer's segment is prefetched (double-buffer style) while the
-  /// current layer computes. Because segments are pure functions of the
-  /// network constants, output is bit-identical to the whole-plan ctor —
-  /// only the modelled weight-residency timeline differs. The registry's
-  /// streamed cold-start path binds replicas this way.
-  Accelerator(std::shared_ptr<const quant::QuantNetwork> network,
-              std::shared_ptr<quant::PlanSource> source, AcceleratorConfig config);
+  /// cycle model should annotate before wrapping (quantize_model does). The
+  /// registry-serving path passes its plan so many (replica, model)
+  /// accelerators bind without rebuilding per-layer plans.
+  Accelerator(std::shared_ptr<const quant::QuantNetwork> network, AcceleratorConfig config,
+              std::shared_ptr<const quant::NetworkExecPlan> plan = nullptr);
 
   /// Per-image knobs of one batched prediction — the request-level unit of
   /// the serving layer. The paper's L (Bayesian depth) and S (MC samples)
@@ -156,13 +145,6 @@ class Accelerator {
     return network_;
   }
 
-  /// The shared execution-plan handle (for binding further accelerators to
-  /// the same model without a plan rebuild).
-  const std::shared_ptr<const quant::NetworkExecPlan>& shared_plan() const { return plan_; }
-
-  /// The segment source when this accelerator streams its plan (null for
-  /// the whole-plan ctors).
-  const std::shared_ptr<quant::PlanSource>& plan_source() const { return source_; }
   const AcceleratorConfig& config() const { return config_; }
 
   /// Replaces the executor used by subsequent predict calls (see
@@ -202,9 +184,6 @@ class Accelerator {
   // Prebuilt kernel execution plans (index tables, packed weight masks),
   // one per layer — shared read-only by every lane and every replica copy.
   std::shared_ptr<const quant::NetworkExecPlan> plan_;
-  // On-demand segment source for the streaming ctor (null when plan_ was
-  // supplied whole). Exactly one of plan_/source_ drives run_layer.
-  std::shared_ptr<quant::PlanSource> source_;
   AcceleratorConfig config_;
   nn::NetworkDesc desc_;
   std::int64_t functional_cycles_ = 0;

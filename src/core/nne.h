@@ -13,13 +13,11 @@
 // (BN -> SC -> ReLU -> Pool) and the Dropout Unit are pipelined behind the
 // PE and add only fill latency.
 //
-// `nne_run_layer_into` is the cycle-counted FUNCTIONAL implementation: it
-// executes the exact tiled loop structure of the hardware on int8 data and
-// must match the untiled reference executor (quant/qops.h) bit-for-bit —
-// int32 accumulation is order-independent, which is the invariant the
-// equivalence tests pin down. `estimate_layer_cycles` is the closed-form
-// cycle count used for networks too large to execute functionally; the two
-// are asserted equal in tests.
+// `nne_run_layer_into` executes a layer through the one int8 executor
+// (quant::run_layer_into — untiled, since int32 accumulation makes the tile
+// order invisible in the bits) and charges it the closed-form
+// `estimate_layer_cycles` count. tests/test_nne.cpp walks the tile loops
+// above and asserts the closed form equals their count.
 //
 // Kernel tiers: the inner product dispatches through nn::kernels::Tier. The
 // tier changes only HOW the int32 accumulators are computed (scalar loops,
@@ -41,6 +39,7 @@
 #include "nn/gemm_kernels.h"
 #include "nn/netdesc.h"
 #include "quant/qnetwork.h"
+#include "quant/qops.h"
 #include "quant/qplan.h"
 #include "quant/qtensor.h"
 
@@ -78,38 +77,20 @@ const std::vector<int>& pv_domain();  // {1, 4, 8, 16}
 // Closed-form PE cycle count for one layer (compute only, no memory).
 std::int64_t estimate_layer_cycles(const nn::HwLayer& layer, const NneConfig& config);
 
-struct NneLayerResult {
-  quant::QTensor output;
-  std::int64_t compute_cycles = 0;  // counted by the tiled execution
+// Counters of one nne_run_layer_into call.
+struct NneLayerStats {
+  std::int64_t compute_cycles = 0;  // estimate_layer_cycles of the layer
   std::int64_t macs_retired = 0;    // useful MACs (excludes tile padding)
   int mask_bits_consumed = 0;
 };
 
-// Counters alone — the allocation-free entry point writes its output into a
-// caller-owned tensor instead.
-struct NneLayerStats {
-  std::int64_t compute_cycles = 0;
-  std::int64_t macs_retired = 0;
-  int mask_bits_consumed = 0;
-};
+// Reusable per-lane working memory of the executor (see quant::LayerScratch:
+// allocation-free after warmup, growths counted in grow_events).
+using NneScratch = quant::LayerScratch;
 
-// Reusable per-lane working memory. All buffers grow monotonically and are
-// fully overwritten each call, so after one pass over a network's largest
-// layer every subsequent nne_run_layer_into is allocation-free;
-// `grow_events` counts the capacity growths that did happen (the
-// accelerator's steady-state-zero-allocation test watches it).
-struct NneScratch {
-  quant::QTensor pre;                // pre-pool position map (pooled layers)
-  std::vector<std::int32_t> acc;     // PF x PV retiring accumulators
-  std::vector<std::uint64_t> xbits;  // packed activation windows, [positions][words]
-  std::vector<std::int32_t> x_pop;   // per-position popcounts of xbits
-  std::vector<std::int8_t> wrows;    // materialized byte rows of packed-weight layers
-  std::uint64_t grow_events = 0;
-};
-
-// Executes one layer with the hardware tiling into `out` (resized in place,
-// capacity reused; must not alias `input`/`shortcut`). `plan` must be
-// build_layer_exec_plan(layer). `tier` is a CAP (see nn/gemm_kernels.h):
+// Executes one layer into `out` (resized in place, capacity reused; must not
+// alias `input`/`shortcut`) and charges its closed-form cycles. `plan` must
+// be build_layer_exec_plan(layer). `tier` is a CAP (see nn/gemm_kernels.h):
 // bitpack falls back to int8 unless the layer's weights are binarizable and
 // this input is two-valued. `shortcut` must be non-null iff the layer has a
 // shortcut; `masks` must be non-null when `site_active`.
@@ -119,13 +100,6 @@ NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerE
                                  quant::FixedMultiplier dropout_keep, const NneConfig& config,
                                  nn::kernels::Tier tier, NneScratch& scratch,
                                  quant::QTensor& out);
-
-// Convenience form: builds the plan and scratch per call and runs at the
-// bitpack cap (identical bits to every other tier by the contract above).
-NneLayerResult nne_run_layer(const quant::QLayer& layer, const quant::QTensor& input,
-                             const quant::QTensor* shortcut, bool site_active,
-                             nn::MaskSource* masks, quant::FixedMultiplier dropout_keep,
-                             const NneConfig& config);
 
 }  // namespace bnn::core
 

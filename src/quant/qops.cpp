@@ -24,60 +24,70 @@ Tier resolve_tier(Tier tier, const LayerExecPlan& plan, const QTensor& input, st
   return Tier::bitpack;
 }
 
-// PE + FU/BN + FU/SC + FU/ReLU for one layer, before pooling: returns the
-// int8 map of conv_out_h x conv_out_w positions. All three tiers produce the
-// same int32 accumulator values (int32 accumulation is exact and associative;
-// the packed closed form is exact by the qplan.h identity), hence identical
-// int8 bits after the FU stages.
-QTensor compute_pre_pool(const QLayer& layer, const LayerExecPlan& plan, Tier tier,
-                         const QTensor& input, const QTensor* shortcut) {
+// Grows a vector to `n` elements, counting capacity growths (allocations).
+template <typename T>
+void grow_to(std::vector<T>& vec, std::size_t n, std::uint64_t& grow_events) {
+  if (n > vec.capacity()) ++grow_events;
+  vec.resize(n);
+}
+
+// PE + FU/BN + FU/SC + FU/ReLU for one layer, before pooling: writes the
+// int8 map of conv_out_h x conv_out_w positions into `pre`. All three tiers
+// produce the same int32 accumulator values (int32 accumulation is exact
+// and associative; the packed closed form is exact by the qplan.h
+// identity), hence identical int8 bits after the FU stages.
+void compute_pre_pool(const QLayer& layer, const LayerExecPlan& plan, Tier tier,
+                      const QTensor& input, const QTensor* shortcut, LayerScratch& scratch,
+                      QTensor& pre) {
   const nn::HwLayer& g = layer.geom;
   const std::int32_t zp_in = layer.in.zero_point;
   const std::int32_t zp_out = layer.out.zero_point;
   const int terms = plan.terms;
+  const bool is_linear = g.op == nn::HwLayer::Op::linear;
 
   std::int8_t lo = 0, hi = 0;
   tier = resolve_tier(tier, plan, input, &lo, &hi);
   const std::int32_t base = static_cast<std::int32_t>(lo) - zp_in;
   const std::int32_t delta = static_cast<std::int32_t>(hi) - lo;
 
-  // Packed-weight layers have no byte rows; the int8/scalar tiers and conv
-  // border windows need them, so reconstruct (exactly) when required. This
-  // is the reference executor — the allocation is acceptable here.
-  std::vector<std::int8_t> wrows;
+  // Packed-weight layers dropped their byte rows. The bitpack interior path
+  // reads only the masks, but the int8/scalar tiers and conv border windows
+  // still need byte rows — materialize them into the scratch once per call
+  // (exact reconstruction, so bits are unchanged).
+  const bool has_border =
+      !is_linear &&
+      (g.pad > 0 || (g.conv_out_h - 1) * g.stride + g.kernel > g.in_h ||
+       (g.conv_out_w - 1) * g.stride + g.kernel > g.in_w);
   const std::int8_t* wmatrix = layer.weights.data();
-  if (layer.weights_packed &&
-      (tier != Tier::bitpack || g.op == nn::HwLayer::Op::conv)) {
-    wrows.resize(static_cast<std::size_t>(g.out_c) * terms);
+  if (layer.weights_packed && (tier != Tier::bitpack || has_border)) {
+    grow_to(scratch.wrows, static_cast<std::size_t>(g.out_c) * terms, scratch.grow_events);
     for (int f = 0; f < g.out_c; ++f)
-      layer.materialize_weight_row(f, wrows.data() + static_cast<std::size_t>(f) * terms);
-    wmatrix = wrows.data();
+      layer.materialize_weight_row(f, scratch.wrows.data() + static_cast<std::size_t>(f) * terms);
+    wmatrix = scratch.wrows.data();
   }
   const auto weight_row = [&](int f) {
     return wmatrix + static_cast<std::size_t>(f) * terms;
   };
+  if (tier == Tier::bitpack)
+    grow_to(scratch.xbits, static_cast<std::size_t>(plan.words), scratch.grow_events);
+  const std::int8_t* in_data = input.data.data();
 
-  QTensor pre({g.out_c, g.conv_out_h, g.conv_out_w}, layer.out);
-  if (g.op == nn::HwLayer::Op::linear) {
-    util::require(input.numel() == g.in_c, "qops: linear input size mismatch");
-    std::vector<std::uint64_t> xbits;
+  if (is_linear) {
     std::int32_t x_pop = 0;
-    if (tier == Tier::bitpack) {
-      xbits.resize(static_cast<std::size_t>(plan.words));
-      x_pop = nn::kernels::pack_eq_bits(input.data.data(), terms, hi, xbits.data());
-    }
+    if (tier == Tier::bitpack)
+      x_pop = nn::kernels::pack_eq_bits(in_data, terms, hi, scratch.xbits.data());
     for (int f = 0; f < g.out_c; ++f) {
       std::int32_t acc = layer.bias[static_cast<std::size_t>(f)];
       if (tier == Tier::bitpack) {
-        acc += packed_row_dot(plan, f, xbits.data(), x_pop, base, delta);
+        acc += packed_row_dot(plan, f, scratch.xbits.data(), x_pop, base, delta);
       } else if (tier == Tier::int8) {
         // int32 accumulation is exact, so the vectorized dot kernel matches
         // the plain per-term loop bit-for-bit.
-        acc += nn::kernels::dot_i8_zp(input.data.data(), weight_row(f), terms, zp_in);
+        acc += nn::kernels::dot_i8_zp(in_data, weight_row(f), terms, zp_in);
       } else {
         const std::int8_t* w = weight_row(f);
         for (int t = 0; t < terms; ++t)
-          acc += (static_cast<std::int32_t>(input.data[static_cast<std::size_t>(t)]) - zp_in) *
+          acc += (static_cast<std::int32_t>(in_data[t]) - zp_in) *
                  static_cast<std::int32_t>(w[t]);
       }
       std::int32_t q = fixed_multiply(acc, layer.requant[static_cast<std::size_t>(f)]) +
@@ -85,28 +95,16 @@ QTensor compute_pre_pool(const QLayer& layer, const LayerExecPlan& plan, Tier ti
       if (g.has_relu) q = std::max(q, zp_out);
       pre.data[static_cast<std::size_t>(f)] = saturate_int8(q);
     }
-    return pre;
+    return;
   }
 
-  util::require(input.channels() == g.in_c && input.height() == g.in_h &&
-                    input.width() == g.in_w,
-                "qops: conv input shape mismatch");
-  if (g.has_shortcut) {
-    util::require(shortcut != nullptr, "qops: missing shortcut operand");
-    util::require(shortcut->channels() == g.out_c &&
-                      shortcut->height() == g.conv_out_h &&
-                      shortcut->width() == g.conv_out_w,
-                  "qops: shortcut operand shape mismatch");
-  }
-
-  // Hoisted conv index math (built once per layer in the LayerExecPlan,
-  // shared with core/nne.cpp): term t addresses input channel t/(k*k) at
-  // kernel offset (term_dh[t], term_dw[t]); term_off[t] is the flat input
-  // offset of term t relative to the window's top-left element, valid
-  // wherever the window is in bounds. int32 accumulation is exact, so the
-  // gather kernel matches the historical per-position (c, kh, kw) loop
-  // bit-for-bit (pinned by tests/test_quant.cpp on strided/padded shapes).
-  const std::int8_t* in_data = input.data.data();
+  // Hoisted conv index math (built once per layer in the LayerExecPlan):
+  // term t addresses input channel t/(k*k) at kernel offset (term_dh[t],
+  // term_dw[t]); term_off[t] is the flat input offset of term t relative to
+  // the window's top-left element, valid wherever the window is in bounds.
+  // int32 accumulation is exact, so the gather kernel matches the
+  // historical per-position (c, kh, kw) loop bit-for-bit (pinned by
+  // tests/test_quant.cpp on strided/padded shapes).
   const std::int32_t* term_dh = plan.term_dh.data();
   const std::int32_t* term_dw = plan.term_dw.data();
   const std::int32_t* term_off = plan.term_off.data();
@@ -148,7 +146,7 @@ QTensor compute_pre_pool(const QLayer& layer, const LayerExecPlan& plan, Tier ti
     // over all out_c filter rows. Each output element is written exactly
     // once, so the loop-order change from the f-outer tiers is observationally
     // identical.
-    std::vector<std::uint64_t> xbits(static_cast<std::size_t>(plan.words));
+    std::uint64_t* xbits = scratch.xbits.data();
     for (int oh = 0; oh < g.conv_out_h; ++oh) {
       for (int ow = 0; ow < g.conv_out_w; ++ow) {
         const int ih0 = oh * g.stride - g.pad;
@@ -159,16 +157,16 @@ QTensor compute_pre_pool(const QLayer& layer, const LayerExecPlan& plan, Tier ti
         if (interior)
           x_pop = nn::kernels::pack_eq_bits_gather(
               in_data + static_cast<std::size_t>(ih0) * g.in_w + iw0, term_off, terms, hi,
-              xbits.data());
+              xbits);
         for (int f = 0; f < g.out_c; ++f) {
           std::int32_t acc = layer.bias[static_cast<std::size_t>(f)];
-          acc += interior ? packed_row_dot(plan, f, xbits.data(), x_pop, base, delta)
+          acc += interior ? packed_row_dot(plan, f, xbits, x_pop, base, delta)
                           : border_dot(weight_row(f), ih0, iw0);
           fu_store(f, oh, ow, acc);
         }
       }
     }
-    return pre;
+    return;
   }
 
   for (int f = 0; f < g.out_c; ++f) {
@@ -193,15 +191,12 @@ QTensor compute_pre_pool(const QLayer& layer, const LayerExecPlan& plan, Tier ti
       }
     }
   }
-  return pre;
 }
 
-// FU/Pool stage: int8-domain max or (rounded) average pooling.
-QTensor apply_pool(const QLayer& layer, QTensor pre) {
+// FU/Pool stage: int8-domain max or (rounded) average pooling of `pre`
+// into `out`.
+void apply_pool(const QLayer& layer, const QTensor& pre, QTensor& out) {
   const nn::HwLayer& g = layer.geom;
-  if (g.pool_kernel == 0 && !g.pool_is_global) return pre;
-
-  QTensor out({g.out_c, g.out_h, g.out_w}, layer.out);
   if (g.pool_is_global) {
     const std::int64_t area = static_cast<std::int64_t>(g.conv_out_h) * g.conv_out_w;
     for (int f = 0; f < g.out_c; ++f) {
@@ -210,7 +205,7 @@ QTensor apply_pool(const QLayer& layer, QTensor pre) {
         for (int w = 0; w < g.conv_out_w; ++w) sum += pre.at(f, h, w);
       out.at(f, 0, 0) = saturate_int8(rounded_div(sum, area));
     }
-    return out;
+    return;
   }
 
   for (int f = 0; f < g.out_c; ++f) {
@@ -232,25 +227,6 @@ QTensor apply_pool(const QLayer& layer, QTensor pre) {
               rounded_div(sum, static_cast<std::int64_t>(g.pool_kernel) * g.pool_kernel));
         }
       }
-    }
-  }
-  return out;
-}
-
-// DU stage: one drop bit per output filter in ascending order.
-void apply_dropout(const QLayer& layer, QTensor& out, nn::MaskSource& masks,
-                   FixedMultiplier dropout_keep) {
-  const std::int32_t zp = layer.out.zero_point;
-  const int plane = out.height() * out.width();
-  for (int f = 0; f < out.channels(); ++f) {
-    const bool drop = masks.next_drop();
-    std::int8_t* row = out.data.data() + static_cast<std::size_t>(f) * plane;
-    if (drop) {
-      std::fill(row, row + plane, saturate_int8(zp));
-    } else {
-      for (int i = 0; i < plane; ++i)
-        row[i] = saturate_int8(
-            fixed_multiply(static_cast<std::int32_t>(row[i]) - zp, dropout_keep) + zp);
     }
   }
 }
@@ -284,14 +260,47 @@ std::vector<QTensor> forward_with_plan(const QuantNetwork& net, const NetworkExe
 
 }  // namespace
 
+void run_layer_into(const QLayer& layer, const LayerExecPlan& plan, nn::kernels::Tier tier,
+                    const QTensor& input, const QTensor* shortcut, bool site_active,
+                    nn::MaskSource* masks, FixedMultiplier dropout_keep, LayerScratch& scratch,
+                    QTensor& out) {
+  const nn::HwLayer& g = layer.geom;
+  util::require(!site_active || masks != nullptr, "qops: active site requires a mask source");
+  if (g.op == nn::HwLayer::Op::linear) {
+    util::require(input.numel() == g.in_c, "qops: linear input size mismatch");
+  } else {
+    util::require(input.channels() == g.in_c && input.height() == g.in_h &&
+                      input.width() == g.in_w,
+                  "qops: conv input shape mismatch");
+    if (g.has_shortcut) {
+      util::require(shortcut != nullptr, "qops: missing shortcut operand");
+      util::require(shortcut->channels() == g.out_c &&
+                        shortcut->height() == g.conv_out_h &&
+                        shortcut->width() == g.conv_out_w,
+                    "qops: shortcut operand shape mismatch");
+    }
+  }
+
+  // The FU chain writes the pre-pool map; when there is no pool stage that
+  // map IS the stored output, so write it there directly and leave
+  // scratch.pre untouched.
+  const bool has_pool = g.pool_is_global || g.pool_kernel > 0;
+  if (out.reset({g.out_c, g.out_h, g.out_w}, layer.out)) ++scratch.grow_events;
+  if (has_pool && scratch.pre.reset({g.out_c, g.conv_out_h, g.conv_out_w}, layer.out))
+    ++scratch.grow_events;
+  QTensor& pre = has_pool ? scratch.pre : out;
+  compute_pre_pool(layer, plan, tier, input, shortcut, scratch, pre);
+  if (has_pool) apply_pool(layer, pre, out);
+  if (site_active) apply_dropout(layer, out, *masks, dropout_keep);
+}
+
 QTensor ref_run_layer(const QLayer& layer, const LayerExecPlan& plan, nn::kernels::Tier tier,
                       const QTensor& input, const QTensor* shortcut, bool site_active,
                       nn::MaskSource* masks, FixedMultiplier dropout_keep) {
-  QTensor out = apply_pool(layer, compute_pre_pool(layer, plan, tier, input, shortcut));
-  if (site_active) {
-    util::require(masks != nullptr, "qops: active site requires a mask source");
-    apply_dropout(layer, out, *masks, dropout_keep);
-  }
+  LayerScratch scratch;
+  QTensor out;
+  run_layer_into(layer, plan, tier, input, shortcut, site_active, masks, dropout_keep, scratch,
+                 out);
   return out;
 }
 
@@ -299,6 +308,23 @@ QTensor ref_run_layer(const QLayer& layer, const QTensor& input, const QTensor* 
                       bool site_active, nn::MaskSource* masks, FixedMultiplier dropout_keep) {
   return ref_run_layer(layer, build_layer_exec_plan(layer), Tier::int8, input, shortcut,
                        site_active, masks, dropout_keep);
+}
+
+void apply_dropout(const QLayer& layer, QTensor& out, nn::MaskSource& masks,
+                   FixedMultiplier dropout_keep) {
+  const std::int32_t zp = layer.out.zero_point;
+  const int plane = out.height() * out.width();
+  for (int f = 0; f < out.channels(); ++f) {
+    const bool drop = masks.next_drop();
+    std::int8_t* row = out.data.data() + static_cast<std::size_t>(f) * plane;
+    if (drop) {
+      std::fill(row, row + plane, saturate_int8(zp));
+    } else {
+      for (int i = 0; i < plane; ++i)
+        row[i] = saturate_int8(
+            fixed_multiply(static_cast<std::int32_t>(row[i]) - zp, dropout_keep) + zp);
+    }
+  }
 }
 
 std::vector<QTensor> ref_forward(const QuantNetwork& net, const QTensor& image,
@@ -387,27 +413,12 @@ nn::Tensor ref_mc_predict(const QuantNetwork& net, const nn::Tensor& images, int
         outputs.resize(static_cast<std::size_t>(cut + 1));
         // Fresh mask on the cached boundary (the DU re-reads the cache).
         outputs[static_cast<std::size_t>(cut)] = boundary;
-        {
-          const QLayer& cut_layer = net.layers[static_cast<std::size_t>(cut)];
-          util::ensure(cut_layer.geom.is_bayes_site &&
-                           cut_layer.geom.site_index >= first_active_site,
-                       "ref_mc_predict: cut layer must carry the first active site");
-          QTensor& masked = outputs[static_cast<std::size_t>(cut)];
-          const std::int32_t zp = cut_layer.out.zero_point;
-          const int plane = masked.height() * masked.width();
-          for (int f = 0; f < masked.channels(); ++f) {
-            const bool drop = lane->next_drop();
-            std::int8_t* row = masked.data.data() + static_cast<std::size_t>(f) * plane;
-            if (drop) {
-              std::fill(row, row + plane, saturate_int8(zp));
-            } else {
-              for (int i = 0; i < plane; ++i)
-                row[i] = saturate_int8(
-                    fixed_multiply(static_cast<std::int32_t>(row[i]) - zp, net.dropout_keep) +
-                    zp);
-            }
-          }
-        }
+        const QLayer& cut_layer = net.layers[static_cast<std::size_t>(cut)];
+        util::ensure(cut_layer.geom.is_bayes_site &&
+                         cut_layer.geom.site_index >= first_active_site,
+                     "ref_mc_predict: cut layer must carry the first active site");
+        apply_dropout(cut_layer, outputs[static_cast<std::size_t>(cut)], *lane,
+                      net.dropout_keep);
         for (int l = cut + 1; l < net.num_layers(); ++l) {
           const QLayer& layer = net.layers[static_cast<std::size_t>(l)];
           const QTensor& input =

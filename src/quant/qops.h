@@ -1,7 +1,9 @@
-// Reference integer executor for QuantNetwork — the functional
-// SPECIFICATION of the accelerator. Plain nested loops, no tiling: the
-// simulated NNE (src/core/nne.h) must reproduce these int8 outputs
-// bit-exactly for every layer and network (enforced by tests).
+// The integer executor for QuantNetwork — the one int8 layer body every
+// caller runs (core::nne_run_layer_into and the accelerator's lanes wrap
+// it; the ref_* functions below are its allocating conveniences). Plain
+// untiled loops: int32 accumulation is exact, so the hardware's PF x PV x PC
+// tile order would not change a bit, and the NNE charges its cycles from
+// the closed form (core::estimate_layer_cycles) instead of replaying it.
 //
 // Per-layer pipeline (matching the NNE stages):
 //   PE   : int32 accumulation of (q_in - zp_in) * w over C*K*K, plus bias
@@ -12,6 +14,7 @@
 #ifndef BNN_QUANT_QOPS_H
 #define BNN_QUANT_QOPS_H
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -24,21 +27,45 @@
 
 namespace bnn::quant {
 
-// Executes one layer. `shortcut` must be non-null iff geom.has_shortcut.
-// When `site_active` is true one drop decision per output filter is drawn
-// from `masks` (which must then be non-null), in ascending filter order.
-QTensor ref_run_layer(const QLayer& layer, const QTensor& input, const QTensor* shortcut,
-                      bool site_active, nn::MaskSource* masks, FixedMultiplier dropout_keep);
+// Reusable working memory of run_layer_into. Every buffer grows
+// monotonically and is fully overwritten per call, so after one pass over
+// a network's largest layer further calls are allocation-free;
+// `grow_events` counts the capacity growths that did happen (the
+// accelerator's steady-state-zero-allocation test watches it).
+struct LayerScratch {
+  QTensor pre;                       // pre-pool position map (pooled layers)
+  std::vector<std::uint64_t> xbits;  // one packed activation window (bitpack tier)
+  std::vector<std::int8_t> wrows;    // materialized byte rows of packed-weight layers
+  std::uint64_t grow_events = 0;
+};
 
-// Tier-explicit form: `plan` must be build_layer_exec_plan(layer). The tier
-// is a CAP (see nn/gemm_kernels.h): Tier::bitpack falls back to Tier::int8
-// unless the layer's weights are binarizable and this input is two-valued,
-// so outputs are bit-identical across tiers unconditionally (enforced by
-// tests/test_bitpack.cpp). The convenience overload above is equivalent to
-// Tier::int8 with a freshly built plan.
+// Executes one layer into `out` (resized in place, capacity reused; must not
+// alias `input`/`shortcut`). `plan` must be build_layer_exec_plan(layer).
+// `shortcut` must be non-null iff geom.has_shortcut. When `site_active` is
+// true one drop decision per output filter is drawn from `masks` (which must
+// then be non-null), in ascending filter order. The tier is a CAP (see
+// nn/gemm_kernels.h): Tier::bitpack falls back to Tier::int8 unless the
+// layer's weights are binarizable and this input is two-valued, so outputs
+// are bit-identical across tiers unconditionally (enforced by
+// tests/test_bitpack.cpp).
+void run_layer_into(const QLayer& layer, const LayerExecPlan& plan, nn::kernels::Tier tier,
+                    const QTensor& input, const QTensor* shortcut, bool site_active,
+                    nn::MaskSource* masks, FixedMultiplier dropout_keep, LayerScratch& scratch,
+                    QTensor& out);
+
+// Allocating form of run_layer_into (fresh scratch and output per call).
 QTensor ref_run_layer(const QLayer& layer, const LayerExecPlan& plan, nn::kernels::Tier tier,
                       const QTensor& input, const QTensor* shortcut, bool site_active,
                       nn::MaskSource* masks, FixedMultiplier dropout_keep);
+
+// As above at Tier::int8 with a freshly built plan.
+QTensor ref_run_layer(const QLayer& layer, const QTensor& input, const QTensor* shortcut,
+                      bool site_active, nn::MaskSource* masks, FixedMultiplier dropout_keep);
+
+// The DU stage alone: one drop bit per output filter of `out`, ascending
+// (the IC schedule re-masks the cached boundary with it every sample).
+void apply_dropout(const QLayer& layer, QTensor& out, nn::MaskSource& masks,
+                   FixedMultiplier dropout_keep);
 
 // Executes the whole network (last `bayes_layers` sites active) and returns
 // every layer's stored (post-DU) output. `masks` may be null when

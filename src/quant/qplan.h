@@ -1,8 +1,7 @@
 // Layer execution plans: the precomputed, weight-derived state the kernel
 // tiers dispatch on. Built once per QuantNetwork (the accelerator does it in
 // its constructor; the reference executor per call) and shared read-only by
-// every lane, so the per-call index-table rebuilds that used to live inside
-// core/nne.cpp and quant/qops.cpp happen exactly once.
+// every lane, so the executor's index tables are built exactly once.
 //
 // The bitpack tier's arithmetic identity (see docs/ARCHITECTURE.md for the
 // full argument): a layer is WEIGHTS-BINARIZABLE when every weight row is
@@ -74,8 +73,8 @@ struct LayerExecPlan {
 
 // One independently buildable, independently evictable unit of exec-plan
 // state. Segments are immutable once built (build_layer_exec_plan is a pure
-// function of the QLayer constants), so any number of plans, providers, and
-// in-flight requests may share one.
+// function of the QLayer constants), so any number of plans, segment tables
+// and in-flight requests may share one.
 using PlanSegment = std::shared_ptr<const LayerExecPlan>;
 
 struct NetworkExecPlan {
@@ -92,36 +91,6 @@ struct NetworkExecPlan {
       if (segment != nullptr) total += segment->weight_bytes;
     return total;
   }
-};
-
-// Resolves exec-plan segments on demand — the interface through which the
-// accelerator consumes a partially-resident plan. segment(i) blocks until
-// segment i is available (building it if needed) and MUST return the same
-// bits a whole-plan build would: segments are pure functions of the network
-// constants, so consumers stay bit-identical across residency states.
-// prefetch(i) is the double-buffer hook: a hint that segment i is needed
-// next, letting an implementation start (or model) layer i's weight reload
-// while layer i-1 computes. The default is a no-op.
-class PlanSource {
- public:
-  virtual ~PlanSource() = default;
-  virtual int num_layers() const = 0;
-  virtual PlanSegment segment(int index) = 0;
-  virtual void prefetch(int index) { (void)index; }
-};
-
-// Trivial PlanSource over a fully-resident plan (everything already built).
-class ResidentPlanSource final : public PlanSource {
- public:
-  explicit ResidentPlanSource(std::shared_ptr<const NetworkExecPlan> plan)
-      : plan_(std::move(plan)) {}
-  int num_layers() const override { return plan_->num_layers(); }
-  PlanSegment segment(int index) override {
-    return plan_->layers[static_cast<std::size_t>(index)];
-  }
-
- private:
-  std::shared_ptr<const NetworkExecPlan> plan_;
 };
 
 LayerExecPlan build_layer_exec_plan(const QLayer& layer);

@@ -1,7 +1,5 @@
 #include "serve/cost_model.h"
 
-#include <algorithm>
-
 #include "core/accelerator.h"
 #include "serve/server.h"
 #include "util/check.h"
@@ -100,55 +98,30 @@ double CostModel::downgraded_ms(ModelKey key, const RequestOptions& options) con
   return first_pass_ms(key, options);
 }
 
-double CostModel::cold_reload_ms(ModelKey key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Entry& entry = entry_locked(key);
-  const double cycles = config_.ddr.transfer_cycles(
-      static_cast<std::int64_t>(entry.weight_bytes), config_.nne.clock_mhz);
+double CostModel::transfer_ms(std::uint64_t bytes) const {
+  const double cycles =
+      config_.ddr.transfer_cycles(static_cast<std::int64_t>(bytes), config_.nne.clock_mhz);
   // cycles / (MHz * 1e6) seconds -> * 1e3 ms.
   return cycles / (config_.nne.clock_mhz * 1e3);
 }
 
-double CostModel::streamed_reload_ms(ModelKey key, const std::vector<int>& missing) const {
+double CostModel::cold_reload_ms(ModelKey key) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return transfer_ms(entry_locked(key).weight_bytes);
+}
+
+double CostModel::reload_ms(ModelKey key, const std::vector<int>& missing) const {
   if (missing.empty()) return 0.0;
   std::lock_guard<std::mutex> lock(mutex_);
-  Entry& entry = entry_locked(key);
-  const int num_layers = static_cast<int>(entry.segment_bytes.size());
-  if (num_layers == 0) {
-    // No per-layer payload info bound: flat whole-plan price.
-    const double cycles = config_.ddr.transfer_cycles(
-        static_cast<std::int64_t>(entry.weight_bytes), config_.nne.clock_mhz);
-    return cycles / (config_.nne.clock_mhz * 1e3);
-  }
-  if (entry.layer_cycles.empty()) {
-    // The deterministic pass's per-layer durations — the compute windows a
-    // double-buffered prefetch hides transfers behind. Cached per bind.
-    const core::RunStats pass = core::estimate_pass(
-        entry.desc, config_, 0, static_cast<int>(entry.desc.layers.size()) - 1,
-        /*input_from_chip=*/false, /*keep_last_on_chip=*/false);
-    entry.layer_cycles.reserve(pass.per_layer.size());
-    for (const core::LayerTiming& timing : pass.per_layer)
-      entry.layer_cycles.push_back(timing.cycles);
-  }
-  double stall_cycles = 0.0;
+  const Entry& entry = entry_locked(key);
+  if (entry.segment_bytes.empty()) return transfer_ms(entry.weight_bytes);
+  std::uint64_t bytes = 0;
   for (const int index : missing) {
-    util::require(index >= 0 && index < num_layers,
+    util::require(index >= 0 && index < static_cast<int>(entry.segment_bytes.size()),
                   "cost model: missing segment index out of range");
-    const double transfer = config_.ddr.transfer_cycles(
-        static_cast<std::int64_t>(entry.segment_bytes[static_cast<std::size_t>(index)]),
-        config_.nne.clock_mhz);
-    if (index == 0) {
-      // Nothing computes ahead of layer 0 — its reload charges in full.
-      stall_cycles += transfer;
-    } else {
-      // Layer index's burst rides behind layer index-1's compute; only the
-      // non-overlapped remainder stalls the pipeline.
-      const double window =
-          entry.layer_cycles[static_cast<std::size_t>(index) - 1];
-      stall_cycles += std::max(0.0, transfer - window);
-    }
+    bytes += entry.segment_bytes[static_cast<std::size_t>(index)];
   }
-  return stall_cycles / (config_.nne.clock_mhz * 1e3);
+  return transfer_ms(bytes);
 }
 
 void CostModel::set_model_calibration(ModelKey key, core::PerfCalibration calibration) {

@@ -15,9 +15,10 @@
 // tenant carries its own NetworkDesc, (L, S) cache, weight footprint, and
 // optional calibration override; bind_model() replaces an entry on hot-swap
 // (the `tag` lets callers detect staleness by version-pointer identity).
-// cold_reload_ms() prices streaming an evicted tenant's weights back from
-// DDR (core::DdrModel at the accelerator clock), which is how dispatch and
-// admission learn that a cold model is costlier than a hot one. The legacy
+// cold_reload_ms() and reload_ms() price loading an evicted tenant's
+// weights back from DDR (core::DdrModel at the accelerator clock), which is
+// how dispatch and admission learn that a cold model is costlier than a hot
+// one. The legacy
 // single-model methods delegate to key 0.
 //
 // Modelled milliseconds are accelerator-clock milliseconds; a calibration
@@ -71,9 +72,9 @@ class CostModel {
   // resident weight footprint (the DDR reload payload), and an opaque
   // identity tag (typically the ModelVersion pointer) readable back via
   // bound_tag. `segment_bytes` carries the per-layer weight footprint
-  // (ModelVersion::segment_bytes) that streamed_reload_ms prices; empty
-  // degrades that method to the flat cold_reload_ms. Replacing clears the
-  // (L, S) cache. Thread-safe.
+  // (ModelVersion::segment_bytes) that reload_ms prices; empty degrades
+  // that method to the flat cold_reload_ms. Replacing clears the (L, S)
+  // cache. Thread-safe.
   void bind_model(ModelKey key, nn::NetworkDesc desc, std::uint64_t weight_bytes,
                   const void* tag = nullptr, std::vector<std::uint64_t> segment_bytes = {});
   // Tag of the bound entry; nullptr when `key` is unbound (or bound tagless).
@@ -116,23 +117,20 @@ class CostModel {
     return downgraded_ms(0, options);
   }
 
-  // Modelled milliseconds of streaming tenant `key`'s weights back from DDR
+  // Modelled milliseconds of loading tenant `key`'s weights back from DDR
   // after an eviction (core::DdrModel transfer at the NNE clock). Charged
   // on top of the first pass / admission cost of the request whose resolve
-  // paid the reload. This is the WHOLE-PLAN price: every segment's transfer
-  // serializes ahead of the first pass.
+  // paid the reload. This is the WHOLE-PLAN price, the all-missing case of
+  // reload_ms.
   double cold_reload_ms(ModelKey key) const;
 
-  // Modelled milliseconds the first pass actually STALLS for when only
-  // `missing` segments (ascending layer indices) reload, double-buffered
-  // behind compute: layer i's transfer overlaps layer i-1's compute, so
-  // each missing segment past the first resident prefix charges only
-  // max(0, transfer_cycles(i) - compute_cycles(i-1)) — the non-overlapped
-  // remainder. A missing FIRST layer has nothing to hide behind and charges
-  // in full. Always <= cold_reload_ms for the full missing set; equals it
-  // when compute can hide nothing. Requires segment_bytes at bind;
-  // falls back to cold_reload_ms when absent.
-  double streamed_reload_ms(ModelKey key, const std::vector<int>& missing) const;
+  // Modelled milliseconds of the DDR transfer of exactly the `missing`
+  // segments' bytes (layer indices, as ModelRegistry::Bound::missing
+  // reports them) — resolve() builds every missing segment before the
+  // first layer runs, so nothing overlaps the transfer. 0 when nothing is
+  // missing. Requires segment_bytes at bind; falls back to cold_reload_ms
+  // when absent. Throws on an out-of-range index.
+  double reload_ms(ModelKey key, const std::vector<int>& missing) const;
 
   // Global calibration scale onto measured wall milliseconds (default
   // identity). Set once at startup, before concurrent readers exist.
@@ -159,9 +157,6 @@ class CostModel {
     int num_sites = 0;
     std::uint64_t weight_bytes = 0;
     std::vector<std::uint64_t> segment_bytes;  // per-layer reload payloads
-    // Per-layer deterministic (L=0) pass cycles — the compute a prefetch
-    // can hide behind. Filled lazily on first streamed_reload_ms call.
-    std::vector<double> layer_cycles;
     const void* tag = nullptr;
     std::optional<core::PerfCalibration> calibration;
     std::map<std::pair<int, int>, double> cache;
@@ -169,6 +164,8 @@ class CostModel {
 
   Entry& entry_locked(ModelKey key) const;
   double modelled_ms_locked(Entry& entry, int bayes_layers, int num_samples) const;
+  // Modelled milliseconds of one DDR transfer of `bytes` at the NNE clock.
+  double transfer_ms(std::uint64_t bytes) const;
 
   core::PerfConfig config_;
   bool use_intermediate_caching_;

@@ -9,27 +9,6 @@
 
 namespace bnn::serve {
 
-namespace {
-
-/// Bound::source implementation: on-demand segments over one version's
-/// table. prefetch is a synchronous dedup'd build — the overlap it models
-/// (layer k+1's DDR burst behind layer k's compute) is charged by
-/// CostModel::streamed_reload_ms; the build itself just has to be done by
-/// the time segment(k+1) is consumed, which acquire guarantees.
-class TenantPlanSource final : public quant::PlanSource {
- public:
-  explicit TenantPlanSource(std::shared_ptr<SegmentTable> table)
-      : table_(std::move(table)) {}
-  int num_layers() const override { return table_->num_layers(); }
-  quant::PlanSegment segment(int index) override { return table_->acquire(index); }
-  void prefetch(int index) override { (void)table_->acquire(index); }
-
- private:
-  std::shared_ptr<SegmentTable> table_;
-};
-
-}  // namespace
-
 SegmentTable::SegmentTable(std::shared_ptr<const quant::QuantNetwork> network,
                            std::shared_ptr<std::atomic<std::uint64_t>> clock,
                            std::shared_ptr<std::atomic<std::uint64_t>> builds)
@@ -306,30 +285,25 @@ ModelRegistry::Bound ModelRegistry::resolve(const std::string& name) {
       bound.cold_start = true;
     }
   }
-  bound.source = std::make_shared<TenantPlanSource>(table);
   if (!bound.cold_start) return bound;
 
-  if (!config_.stream_cold_plans) {
-    // Materialize every missing segment before returning. Builds run
-    // OUTSIDE the registry mutex and are deduplicated per slot, so N
-    // replicas resolving one cold tenant concurrently build each segment
-    // exactly once while other tenants keep resolving.
-    for (const int index : bound.missing) (void)table->acquire(index);
-  }
+  // Materialize every missing segment before returning. Builds run OUTSIDE
+  // the registry mutex and are deduplicated per slot, so N replicas
+  // resolving one cold tenant concurrently build each segment exactly once
+  // while other tenants keep resolving.
+  for (const int index : bound.missing) (void)table->acquire(index);
   std::lock_guard<std::mutex> lock(mutex_);
   Entry& entry = entry_for(name);
   if (entry.table == table) {
-    if (!config_.stream_cold_plans) bound.plan = assembled_plan_locked(entry);
+    bound.plan = assembled_plan_locked(entry);
     enforce_budget_locked(&entry);
   } else {
     // Hot-swapped mid-resolve: assemble from the snapshot table so the
     // caller still gets the version it resolved.
-    if (!config_.stream_cold_plans) {
-      auto plan = std::make_shared<quant::NetworkExecPlan>();
-      plan->layers.reserve(static_cast<std::size_t>(table->num_layers()));
-      for (int i = 0; i < table->num_layers(); ++i) plan->layers.push_back(table->acquire(i));
-      bound.plan = std::move(plan);
-    }
+    auto plan = std::make_shared<quant::NetworkExecPlan>();
+    plan->layers.reserve(static_cast<std::size_t>(table->num_layers()));
+    for (int i = 0; i < table->num_layers(); ++i) plan->layers.push_back(table->acquire(i));
+    bound.plan = std::move(plan);
     enforce_budget_locked(nullptr);
   }
   return bound;

@@ -19,23 +19,18 @@
 //        +------- resolve/acquire builds ------+  +---- acquire -------+
 //
 // Weights on a real board live in DDR and only a budget's worth stays on
-// chip (streamed/double-buffered burst loads, as in the FPGA-accelerator
-// survey literature). The registry models that at LAYER granularity:
+// chip (burst loads, as in the FPGA-accelerator survey literature). The
+// registry models that at LAYER granularity:
 // RegistryConfig::residency_budget_bytes is enforced in segment bytes, and
 // when the resident set exceeds it the GLOBALLY coldest segments (LRU by a
 // registry-wide clock) drop first — a warm tenant sheds its coldest layers
 // before a hot tenant sheds anything. A partially-resident tenant still
-// serves: resolve() rebuilds exactly the missing segments (each a pure
-// function of the immutable network, so responses are bit-identical across
-// every residency state), flags the resolve cold_start, and reports WHICH
-// segments were missing so the serving layer can charge the non-overlapped
-// DDR reload remainder (CostModel::streamed_reload_ms) instead of a flat
-// whole-plan reload. With RegistryConfig::stream_cold_plans set, resolve()
-// returns immediately with a streaming PlanSource instead of materializing
-// the whole plan first: the accelerator then resolves segment k on first
-// use and prefetches segment k+1 while layer k computes (the double-buffer
-// overlap), so a cold tenant's first response does not wait for full
-// residency.
+// serves: resolve() rebuilds exactly the missing segments before it returns
+// (each a pure function of the immutable network, so responses are
+// bit-identical across every residency state), flags the resolve
+// cold_start, and reports WHICH segments were missing so the serving layer
+// can charge the DDR transfer of exactly those segments' bytes
+// (CostModel::reload_ms) instead of a flat whole-plan reload.
 #ifndef BNN_SERVE_MODEL_REGISTRY_H
 #define BNN_SERVE_MODEL_REGISTRY_H
 
@@ -91,13 +86,6 @@ struct RegistryConfig {
   /// Resident-segment weight budget in bytes; past it the globally coldest
   /// segments evict (reload charged on next use). 0 = unlimited.
   std::uint64_t residency_budget_bytes = 0;
-  /// When true, resolve() of a not-fully-resident tenant returns
-  /// immediately with a streaming Bound::source (plan left null) instead of
-  /// materializing every missing segment up front — the accelerator streams
-  /// segments layer by layer with prefetch overlap. When false (default),
-  /// resolve() materializes all missing segments before returning, so
-  /// Bound::plan is always usable.
-  bool stream_cold_plans = false;
 };
 
 struct RegistryStats {
@@ -119,9 +107,8 @@ struct RegistryStats {
 /// slot empty installs an in-flight marker and builds outside the table
 /// lock; concurrent callers for the same slot block on the shared future
 /// instead of building again. Tables are immutable in shape (one slot per
-/// layer, network fixed) and shared: Bounds, PlanSources, and the registry
-/// all hold them via shared_ptr, so eviction of a segment never invalidates
-/// a segment handle someone already acquired.
+/// layer, network fixed) and shared via shared_ptr, so eviction of a
+/// segment never invalidates a segment handle someone already acquired.
 class SegmentTable {
  public:
   SegmentTable(std::shared_ptr<const quant::QuantNetwork> network,
@@ -180,19 +167,13 @@ class ModelRegistry {
   /// What a request (or a replica bind) holds while in flight.
   struct Bound {
     std::shared_ptr<const ModelVersion> version;
-    /// The fully-materialized plan. Null only in streaming mode
-    /// (RegistryConfig::stream_cold_plans) when this resolve found segments
-    /// missing — consume `source` instead.
+    /// The fully-materialized plan (never null).
     std::shared_ptr<const quant::NetworkExecPlan> plan;
-    /// On-demand segment source over this version's table (always set).
-    /// The streamed-bind path feeds it to the accelerator's PlanSource
-    /// ctor; segment(k) blocks until layer k is resident.
-    std::shared_ptr<quant::PlanSource> source;
     /// True when THIS resolve found segments missing (the request it admits
     /// should carry the DDR reload cost).
     bool cold_start = false;
     /// The segment indices missing at resolve time (empty when warm) — what
-    /// CostModel::streamed_reload_ms prices.
+    /// CostModel::reload_ms prices.
     std::vector<int> missing;
   };
 

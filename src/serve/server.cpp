@@ -65,11 +65,8 @@ Server::Server(std::shared_ptr<ModelRegistry> registry, core::AcceleratorConfig 
   util::require(registry_->has(config_.default_model),
                 "serve: default_model is not published in the registry");
   const ModelRegistry::Bound bound = registry_->resolve(config_.default_model);
-  anchor_ = bound.plan != nullptr
-                ? std::make_unique<core::Accelerator>(bound.version->network, bound.plan,
-                                                      accel_config_)
-                : std::make_unique<core::Accelerator>(bound.version->network, bound.source,
-                                                      accel_config_);
+  anchor_ = std::make_unique<core::Accelerator>(bound.version->network, accel_config_,
+                                                bound.plan);
   init();
 }
 
@@ -336,13 +333,11 @@ std::future<Response> Server::submit(Request request) {
     pending.admission_ms =
         cost_model_->wall_ms(key, cost_model_->admission_ms(key, options));
     if (pending.bound.cold_start) {
-      // Charge only the NON-OVERLAPPED remainder of reloading the segments
-      // this resolve actually found missing: double-buffered prefetch hides
-      // each layer's burst behind the previous layer's compute, so a
-      // partially-resident tenant prices in far below a flat whole-plan
-      // reload (streamed_reload_ms <= cold_reload_ms always).
+      // Charge the DDR transfer of exactly the segments this resolve found
+      // missing (all of them prices as cold_reload_ms): a partially
+      // resident tenant reloads only what it lost.
       const double reload = cost_model_->wall_ms(
-          key, cost_model_->streamed_reload_ms(key, pending.bound.missing));
+          key, cost_model_->reload_ms(key, pending.bound.missing));
       pending.first_pass_ms += reload;
       pending.admission_ms += reload;
     }
@@ -664,20 +659,14 @@ core::Accelerator& Server::bind_replica(Replica& replica,
     replica.binds.erase(replica.binds.begin() + static_cast<std::ptrdiff_t>(victim));
   }
   // The bind holds the request's OWN plan handle: even if the registry
-  // evicted this tenant right after the batch was pulled, the plan (or
-  // segment table) the requests resolved stays alive, and a later
-  // re-resolve's rebuilt segments are pure functions of the same immutable
-  // weights — bit-identical. A streamed cold resolve has no materialized
-  // plan yet; its accelerator consumes segments on demand through the
-  // bound source, prefetching layer k+1 while layer k computes.
+  // evicted this tenant right after the batch was pulled, the plan the
+  // requests resolved stays alive, and a later re-resolve's rebuilt
+  // segments are pure functions of the same immutable weights —
+  // bit-identical.
   Bind bind;
   bind.version = bound.version;
   bind.accelerator =
-      bound.plan != nullptr
-          ? std::make_unique<core::Accelerator>(bound.version->network, bound.plan,
-                                                accel_config_)
-          : std::make_unique<core::Accelerator>(bound.version->network, bound.source,
-                                                accel_config_);
+      std::make_unique<core::Accelerator>(bound.version->network, accel_config_, bound.plan);
   bind.last_use = ++replica.bind_tick;
   replica.binds.push_back(std::move(bind));
   return *replica.binds.back().accelerator;

@@ -22,12 +22,12 @@
 // new version. Replicas bind an accelerator per (replica, model version)
 // lazily and cache a bounded LRU set of binds; a tenant whose exec-plan
 // segments the registry's residency budget partially evicted still serves,
-// but its resolve pays the non-overlapped remainder of the modelled DDR
-// segment reloads (CostModel::streamed_reload_ms — layer k+1's burst hides
-// behind layer k's compute) which inflates the request's
-// dispatch/admission cost and is counted in ServerStats::cold_starts. Per-tenant quotas (ModelConfig::max_queued)
-// bound how much of the queue one tenant may occupy; quota rejections
-// throw QuotaExceededError and count in ServerStats::quota_rejected.
+// but its resolve pays the modelled DDR transfer of exactly the segments
+// it found missing (CostModel::reload_ms), which inflates the request's
+// dispatch/admission cost and is counted in ServerStats::cold_starts.
+// Per-tenant quotas (ModelConfig::max_queued) bound how much of the queue
+// one tenant may occupy; quota rejections throw QuotaExceededError and
+// count in ServerStats::quota_rejected.
 //
 // Dispatch: by default the dispatcher is COST-AWARE — a serve::CostModel
 // (the paper's own performance model re-used as a serving oracle) estimates

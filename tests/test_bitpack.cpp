@@ -311,7 +311,7 @@ void expect_tier_identity(const quant::QLayer& layer, const quant::QTensor& inpu
   EXPECT_EQ(scalar.data, int8.data) << label << ": scalar vs int8";
   EXPECT_EQ(int8.data, bitpack.data) << label << ": int8 vs bitpack";
 
-  // The NNE tiling must agree with the reference at every tier and charge
+  // The NNE entry point must agree with the reference at every tier and charge
   // the closed-form cycle count for both annotation states.
   for (const auto& tc : {std::array<int, 3>{8, 8, 1}, std::array<int, 3>{64, 64, 1},
                          std::array<int, 3>{16, 8, 4}, std::array<int, 3>{128, 128, 16}}) {

@@ -1,5 +1,7 @@
-// The NNE's tiled datapath must be bit-exact against the untiled reference
-// executor for every parallelism configuration in the paper's design space.
+// The NNE entry point must be bit-exact against the scalar-tier reference
+// of the executor, and its closed-form cycle charge must equal a walk of the
+// hardware's PF x PV x PC tile loops, for every parallelism configuration in
+// the paper's design space and every layer of the paper's networks.
 #include "core/nne.h"
 
 #include <gtest/gtest.h>
@@ -88,46 +90,96 @@ TEST(NneCycles, PeakGopsFromParallelism) {
   EXPECT_NEAR(config.peak_gops(), 4096.0 * 2.0 * 225.0 / 1e3, 1e-9);  // 1843.2
 }
 
+// The hardware's loop nest, walked only to count: one cycle per (filter
+// tile, position tile, term tile), where a weights-binarizable layer's
+// popcount datapath reduces binary_term_parallelism times more terms per
+// multiplier lane. The cycle-model oracle for estimate_layer_cycles.
+std::int64_t walk_tiles(const nn::HwLayer& g, const NneConfig& config) {
+  const int terms = g.in_c * g.kernel * g.kernel;
+  const int positions = g.conv_out_h * g.conv_out_w;
+  const int lane_terms =
+      config.pc * (g.weights_binarizable ? config.binary_term_parallelism : 1);
+  std::int64_t cycles = 0;
+  for (int ft = 0; ft < g.out_c; ft += config.pf)
+    for (int pt = 0; pt < positions; pt += config.pv)
+      for (int ct = 0; ct < terms; ct += lane_terms) ++cycles;
+  return cycles;
+}
+
 struct TilingCase {
   int pc, pf, pv;
 };
 
-class NneTiling : public ::testing::TestWithParam<TilingCase> {};
+class NneTiling : public ::testing::TestWithParam<TilingCase> {
+ protected:
+  NneConfig config() const {
+    NneConfig config;
+    config.pc = GetParam().pc;
+    config.pf = GetParam().pf;
+    config.pv = GetParam().pv;
+    return config;
+  }
+};
 
-// For every layer of the quantized network, the tiled NNE execution must
-// reproduce the reference executor's int8 output exactly and its counted
-// cycles must equal the closed-form estimate.
+// For every layer of the quantized network, the NNE entry point at the int8
+// and bitpack caps must reproduce the scalar tier's int8 output exactly and
+// charge the tile-walk cycle count.
 TEST_P(NneTiling, BitExactAgainstReferenceAndFormula) {
-  const TilingCase tc = GetParam();
-  NneConfig config;
-  config.pc = tc.pc;
-  config.pf = tc.pf;
-  config.pv = tc.pv;
-
+  const NneConfig config = this->config();
   auto& fx = fixture();
   const quant::QuantNetwork& qnet = *fx.qnet;
   const quant::QTensor image = quant::quantize_image(fx.dataset->images(), 0, qnet.input);
+  const quant::NetworkExecPlan plan = quant::build_network_exec_plan(qnet);
 
-  // Reference chain (deterministic).
+  // Reference chain (deterministic), fed back so each layer is compared in
+  // isolation as well as in composition.
   const std::vector<quant::QTensor> ref = quant::ref_forward(qnet, image, 0, nullptr);
-
-  // Tiled execution layer by layer, feeding reference inputs so each layer
-  // is compared in isolation as well as in composition.
-  const quant::QTensor* input = &image;
+  NneScratch scratch;
+  quant::QTensor out;
   for (int l = 0; l < qnet.num_layers(); ++l) {
     const quant::QLayer& layer = qnet.layers[static_cast<std::size_t>(l)];
+    const quant::QTensor& input =
+        layer.input_source < 0 ? image : ref[static_cast<std::size_t>(layer.input_source)];
     const quant::QTensor* shortcut =
         layer.geom.has_shortcut ? &ref[static_cast<std::size_t>(layer.shortcut_source)]
                                 : nullptr;
-    const NneLayerResult result = nne_run_layer(layer, *input, shortcut, false, nullptr,
-                                                qnet.dropout_keep, config);
-    EXPECT_EQ(result.output.data, ref[static_cast<std::size_t>(l)].data)
-        << "layer " << l << " diverges at PC=" << tc.pc << " PF=" << tc.pf
-        << " PV=" << tc.pv;
-    EXPECT_EQ(result.compute_cycles, estimate_layer_cycles(layer.geom, config))
-        << "cycle count mismatch at layer " << l;
-    EXPECT_EQ(result.macs_retired, layer.geom.macs());
-    input = &ref[static_cast<std::size_t>(l)];
+    const quant::QTensor scalar =
+        quant::ref_run_layer(layer, plan.layer(l), nn::kernels::Tier::scalar, input, shortcut,
+                             false, nullptr, qnet.dropout_keep);
+    for (const nn::kernels::Tier tier : {nn::kernels::Tier::int8, nn::kernels::Tier::bitpack}) {
+      const NneLayerStats stats =
+          nne_run_layer_into(layer, plan.layer(l), input, shortcut, false, nullptr,
+                             qnet.dropout_keep, config, tier, scratch, out);
+      EXPECT_EQ(out.data, scalar.data)
+          << "layer " << l << " diverges at tier " << nn::kernels::tier_name(tier);
+      EXPECT_EQ(stats.compute_cycles, walk_tiles(layer.geom, config))
+          << "cycle count mismatch at layer " << l;
+      EXPECT_EQ(stats.macs_retired, layer.geom.macs());
+      EXPECT_EQ(stats.mask_bits_consumed, 0);
+    }
+  }
+}
+
+// The closed form equals the tile walk on every layer of the paper's
+// networks, with and without the binary term-parallelism credit.
+TEST_P(NneTiling, TileWalkMatchesClosedFormOnPaperNetworks) {
+  static const std::vector<nn::NetworkDesc> descs = [] {
+    util::Rng rng(23);
+    std::vector<nn::NetworkDesc> out;
+    out.push_back(fixture().qnet->describe());
+    out.push_back(nn::make_vgg11(rng, 10, /*width_divisor=*/4).describe());
+    out.push_back(nn::make_resnet18(rng, 10, /*base_width=*/16).describe());
+    return out;
+  }();
+  const NneConfig config = this->config();
+  for (const nn::NetworkDesc& desc : descs) {
+    for (nn::HwLayer layer : desc.layers) {
+      for (const bool binarizable : {false, true}) {
+        layer.weights_binarizable = binarizable;
+        EXPECT_EQ(estimate_layer_cycles(layer, config), walk_tiles(layer, config))
+            << desc.name << " layer " << layer.label << " binarizable=" << binarizable;
+      }
+    }
   }
 }
 
@@ -141,6 +193,7 @@ TEST(NneDropout, SameMaskStreamGivesSameOutputs) {
   auto& fx = fixture();
   const quant::QuantNetwork& qnet = *fx.qnet;
   const quant::QTensor image = quant::quantize_image(fx.dataset->images(), 1, qnet.input);
+  const quant::NetworkExecPlan plan = quant::build_network_exec_plan(qnet);
 
   NneConfig config;
   config.pc = 16;
@@ -153,22 +206,23 @@ TEST(NneDropout, SameMaskStreamGivesSameOutputs) {
   const std::vector<quant::QTensor> ref =
       quant::ref_forward(qnet, image, qnet.num_sites, &masks_ref);
 
-  const quant::QTensor* input = &image;
-  std::vector<quant::QTensor> outputs;
+  NneScratch scratch;
+  std::vector<quant::QTensor> outputs(qnet.layers.size());
   for (int l = 0; l < qnet.num_layers(); ++l) {
     const quant::QLayer& layer = qnet.layers[static_cast<std::size_t>(l)];
+    const quant::QTensor& input =
+        layer.input_source < 0 ? image
+                               : outputs[static_cast<std::size_t>(layer.input_source)];
     const quant::QTensor* shortcut =
         layer.geom.has_shortcut ? &outputs[static_cast<std::size_t>(layer.shortcut_source)]
                                 : nullptr;
-    NneLayerResult result =
-        nne_run_layer(layer, *input, shortcut, layer.geom.is_bayes_site, &masks_nne,
-                      qnet.dropout_keep, config);
-    if (layer.geom.is_bayes_site) {
-      EXPECT_EQ(result.mask_bits_consumed, layer.geom.out_c);
-    }
-    outputs.push_back(std::move(result.output));
-    EXPECT_EQ(outputs.back().data, ref[static_cast<std::size_t>(l)].data) << "layer " << l;
-    input = &outputs.back();
+    const NneLayerStats stats = nne_run_layer_into(
+        layer, plan.layer(l), input, shortcut, layer.geom.is_bayes_site, &masks_nne,
+        qnet.dropout_keep, config, nn::kernels::Tier::bitpack, scratch,
+        outputs[static_cast<std::size_t>(l)]);
+    EXPECT_EQ(stats.mask_bits_consumed, layer.geom.is_bayes_site ? layer.geom.out_c : 0);
+    EXPECT_EQ(outputs[static_cast<std::size_t>(l)].data, ref[static_cast<std::size_t>(l)].data)
+        << "layer " << l;
   }
 }
 
@@ -176,17 +230,21 @@ TEST(NneValidation, RejectsBadArguments) {
   auto& fx = fixture();
   const quant::QuantNetwork& qnet = *fx.qnet;
   const quant::QLayer& first = qnet.layers.front();
+  const quant::LayerExecPlan plan = quant::build_layer_exec_plan(first);
   const quant::QTensor image = quant::quantize_image(fx.dataset->images(), 0, qnet.input);
-  NneConfig config;
+  const NneConfig config;
+  NneScratch scratch;
+  quant::QTensor out;
   // Active site without a mask source.
-  EXPECT_THROW(
-      nne_run_layer(first, image, nullptr, true, nullptr, qnet.dropout_keep, config),
-      std::invalid_argument);
+  EXPECT_THROW(nne_run_layer_into(first, plan, image, nullptr, true, nullptr, qnet.dropout_keep,
+                                  config, nn::kernels::Tier::int8, scratch, out),
+               std::invalid_argument);
   // Wrong input shape.
-  quant::QTensor wrong({3, 5, 5}, qnet.input);
-  EXPECT_THROW(
-      nne_run_layer(first, wrong, nullptr, false, nullptr, qnet.dropout_keep, config),
-      std::invalid_argument);
+  const quant::QTensor wrong({3, 5, 5}, qnet.input);
+  EXPECT_THROW(nne_run_layer_into(first, plan, wrong, nullptr, false, nullptr,
+                                  qnet.dropout_keep, config, nn::kernels::Tier::int8, scratch,
+                                  out),
+               std::invalid_argument);
 }
 
 }  // namespace
