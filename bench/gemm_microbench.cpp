@@ -10,13 +10,10 @@
 // count, unlike the thread-scaling benches.
 //
 //   ./build/bench/gemm_microbench [--smoke] [--repeats N] [--json PATH]
-//                                 [--bitpack]
 //
-// --json writes a BENCH_gemm.json-style artifact so successive PRs have a
-// recorded perf trajectory for the hot path. --bitpack switches to the
-// packed XNOR/popcount kernel tier (quant/qplan.h): binarizable rows
-// against the int8 dot_i8_zp baseline, same hard bit-identity gate (the
-// bench.bitpack_smoke ctest entry).
+// --json writes a BENCH_gemm.json-style artifact so successive changes have
+// a recorded perf trajectory for the hot path.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -24,9 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "nn/bitpack_kernels.h"
 #include "nn/gemm_kernels.h"
-#include "quant/qplan.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
@@ -141,66 +136,6 @@ Result run_int8_case(int rows, int len, int repeats) {
           identical};
 }
 
-// Bit-packed kernel tier: one output-filter sweep of a binarizable linear
-// layer (rows x len dots), the int8 dot_i8_zp baseline vs pack-once +
-// packed_row_dot. Activation packing runs INSIDE the timed sweep — the real
-// path packs each input once and amortizes it over all filters, and so does
-// this. `ternary` adds zero weights (the AND2 path); without it every row
-// is zero-free and the plan takes the single-XOR path.
-Result run_bitpack_case(const char* variant, int rows, int len, bool ternary, int repeats) {
-  util::Rng rng(rows * 2029 + len * 7 + (ternary ? 1 : 0));
-  quant::QLayer layer;
-  layer.geom.op = nn::HwLayer::Op::linear;
-  layer.geom.in_c = len;
-  layer.geom.out_c = rows;
-  layer.weights.resize(static_cast<std::size_t>(rows) * len);
-  const std::int8_t mag = 5;
-  for (auto& w : layer.weights) {
-    const int pick = rng.uniform_int(0, ternary ? 2 : 1);
-    w = static_cast<std::int8_t>(pick == 0 ? -mag : pick == 1 ? mag : 0);
-  }
-  const quant::LayerExecPlan plan = quant::build_layer_exec_plan(layer);
-  if (!plan.weights_binarizable || plan.pure_binary == ternary) {
-    std::fprintf(stderr, "FATAL: bitpack bench layer did not plan as intended\n");
-    std::exit(1);
-  }
-
-  const std::int8_t lo = -7, hi = 9;
-  const std::int32_t zp = -3;
-  std::vector<std::int8_t> x(static_cast<std::size_t>(len));
-  for (auto& v : x) v = rng.uniform_int(0, 1) != 0 ? hi : lo;
-
-  std::vector<std::int32_t> out_i8(static_cast<std::size_t>(rows)),
-      out_packed(static_cast<std::size_t>(rows));
-  const auto int8_sweep = [&] {
-    for (int f = 0; f < rows; ++f)
-      out_i8[static_cast<std::size_t>(f)] =
-          kernels::dot_i8_zp(x.data(), layer.weight_row(f), len, zp);
-  };
-  std::vector<std::uint64_t> xbits(static_cast<std::size_t>(plan.words));
-  const auto packed_sweep = [&] {
-    const std::int32_t x_pop = kernels::pack_eq_bits(x.data(), len, hi, xbits.data());
-    const std::int32_t base = lo - zp;
-    const std::int32_t delta = static_cast<std::int32_t>(hi) - lo;
-    for (int f = 0; f < rows; ++f)
-      out_packed[static_cast<std::size_t>(f)] =
-          quant::packed_row_dot(plan, f, xbits.data(), x_pop, base, delta);
-  };
-  int8_sweep();
-  packed_sweep();
-  const bool identical = out_i8 == out_packed;
-
-  const int inner = std::max(1, 20'000'000 / (rows * len));
-  const double i8_s = best_seconds(repeats, [&] {
-    for (int i = 0; i < inner; ++i) int8_sweep();
-  });
-  const double packed_s = best_seconds(repeats, [&] {
-    for (int i = 0; i < inner; ++i) packed_sweep();
-  });
-  return {"nne binarizable linear", variant, rows, 1, len, i8_s * 1e3, packed_s * 1e3,
-          identical};
-}
-
 void write_json(const char* path, bool smoke, const std::vector<Result>& results) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -227,61 +162,19 @@ void write_json(const char* path, bool smoke, const std::vector<Result>& results
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  bool bitpack = false;
   int repeats = 3;
   const char* json_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0)
       smoke = true;
-    else if (std::strcmp(argv[i], "--bitpack") == 0)
-      bitpack = true;
     else if (std::strcmp(argv[i], "--repeats") == 0 && i + 1 < argc)
       repeats = std::atoi(argv[++i]);
     else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
       json_path = argv[++i];
-  }
-
-  if (bitpack) {
-    // The binarizable-layer tier: the VGG-class conv-as-dot shape
-    // (128 filters x 1152 terms) both zero-free (XOR path) and ternary
-    // (AND2 path), plus an odd-length row that exercises the partial tail
-    // word. The smoke keeps the VGG shape — the >=4x headline claim is
-    // checked on exactly the layer class the paper binarizes.
-    std::vector<Result> results;
-    results.push_back(run_bitpack_case("bitpack_xor", 128, 1152, false, repeats));
-    results.push_back(run_bitpack_case("bitpack_ternary", 128, 1152, true, repeats));
-    results.push_back(run_bitpack_case("bitpack_xor", 16, 300, false, repeats));
-    if (!smoke) {
-      results.push_back(run_bitpack_case("bitpack_xor", 512, 4096, false, repeats));
-      results.push_back(run_bitpack_case("bitpack_ternary", 512, 4096, true, repeats));
+    else {
+      std::fprintf(stderr, "usage: gemm_microbench [--smoke] [--repeats N] [--json PATH]\n");
+      return 2;
     }
-
-    util::TextTable table(
-        "Bit-packed XNOR/popcount tier — packed vs int8 dot (single thread)");
-    table.set_header({"shape (layer)", "variant", "rows", "n", "terms", "int8 ms",
-                      "packed ms", "speedup", "bit-identical"});
-    bool all_identical = true;
-    for (const Result& r : results) {
-      all_identical = all_identical && r.bit_identical;
-      table.add_row({r.name, r.variant, std::to_string(r.m), std::to_string(r.n),
-                     std::to_string(r.k), util::fixed(r.scalar_ms, 3),
-                     util::fixed(r.fast_ms, 3), util::fixed(r.speedup(), 2) + "x",
-                     r.bit_identical ? "yes" : "NO"});
-    }
-    std::printf("%s\n", table.to_string().c_str());
-    std::printf(
-        "Reading the table: weights in {-W, 0, +W} collapse the int8 dot to\n"
-        "word-level popcounts (64 terms per XOR+POPCNT); the activation plane\n"
-        "is packed once per input and amortized over all filters. The packed\n"
-        "accumulator equals dot_i8_zp exactly (integer identity, hard-checked\n"
-        "above), so the tier changes host speed only — never a bit of output.\n");
-
-    if (json_path != nullptr) write_json(json_path, smoke, results);
-    if (!all_identical) {
-      std::fprintf(stderr, "FATAL: packed dot diverged from the int8 reference\n");
-      return 1;
-    }
-    return 0;
   }
 
   // Layer-derived shapes. The VGG-class row is the reduced VGG-11's widest

@@ -1,6 +1,6 @@
 // Microbenchmark of the simulator itself: how fast the int8 layer executor
 // runs on the host, through its allocating reference form and through the
-// NNE entry point at each kernel-tier cap. Useful for
+// NNE entry point at each kernel tier. Useful for
 // sizing experiments; not a claim about FPGA speed (that is what the cycle
 // model is for).
 #include <benchmark/benchmark.h>
@@ -10,7 +10,6 @@
 
 #include "data/synth.h"
 #include "core/nne.h"
-#include "nn/bitpack_kernels.h"
 #include "nn/gemm_kernels.h"
 #include "nn/models.h"
 #include "quant/qops.h"
@@ -61,7 +60,8 @@ void bm_reference_layer(benchmark::State& state) {
 BENCHMARK(bm_reference_layer);
 
 // The accelerator's per-layer entry point, with the plan and scratch held
-// across calls as the predict lanes hold them; the argument is the tier cap.
+// across calls as the predict lanes hold them; the argument is the tier
+// (scalar, int8).
 void bm_nne_layer(benchmark::State& state) {
   auto& s = setup();
   const quant::QLayer& layer = s.qnet->layers.front();
@@ -77,7 +77,7 @@ void bm_nne_layer(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * layer.geom.macs());
   state.SetLabel(nn::kernels::tier_name(tier));
 }
-BENCHMARK(bm_nne_layer)->DenseRange(0, 2);
+BENCHMARK(bm_nne_layer)->DenseRange(0, 1);
 
 // The executor's inner product in isolation: plain per-term loop vs
 // kernels::dot_i8_zp on a VGG-class term count (in_c=128, 3x3 kernel).
@@ -133,55 +133,6 @@ void bm_int8_dot_gather(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * len);
 }
 BENCHMARK(bm_int8_dot_gather)->Arg(1152);
-
-// The bit-packed tier on the same VGG-class term count: packed_row_dot
-// (XOR+popcount over 64-term words) against the int8 rows above. The
-// activation plane is packed once outside the loop — in the real path one
-// pack per input position is amortized over every output filter, so the
-// steady-state per-filter cost is exactly this dot (bm_bitpack_pack times
-// the amortized pack itself).
-void bm_bitpack_dot(benchmark::State& state) {
-  const int len = static_cast<int>(state.range(0));
-  util::Rng rng(1234);
-  quant::QLayer layer;
-  layer.geom.op = nn::HwLayer::Op::linear;
-  layer.geom.in_c = len;
-  layer.geom.out_c = 1;
-  layer.weights.resize(static_cast<std::size_t>(len));
-  for (auto& v : layer.weights)
-    v = static_cast<std::int8_t>(rng.uniform_int(0, 1) != 0 ? 5 : -5);
-  const quant::LayerExecPlan plan = quant::build_layer_exec_plan(layer);
-  const std::int8_t lo = -7, hi = 9;
-  std::vector<std::int8_t> x(static_cast<std::size_t>(len));
-  for (auto& v : x) v = rng.uniform_int(0, 1) != 0 ? hi : lo;
-  std::vector<std::uint64_t> xbits(static_cast<std::size_t>(plan.words));
-  const std::int32_t x_pop = nn::kernels::pack_eq_bits(x.data(), len, hi, xbits.data());
-  const std::int32_t zp = -3;
-  for (auto _ : state) {
-    std::int32_t acc = quant::packed_row_dot(plan, 0, xbits.data(), x_pop, lo - zp,
-                                             static_cast<std::int32_t>(hi) - lo);
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() * len);
-}
-BENCHMARK(bm_bitpack_dot)->Arg(1152);
-
-void bm_bitpack_pack(benchmark::State& state) {
-  const int len = static_cast<int>(state.range(0));
-  util::Rng rng(1234);
-  const std::int8_t lo = -7, hi = 9;
-  std::vector<std::int8_t> x(static_cast<std::size_t>(len));
-  for (auto& v : x) v = rng.uniform_int(0, 1) != 0 ? hi : lo;
-  std::vector<std::uint64_t> xbits(
-      static_cast<std::size_t>(nn::kernels::bit_words(len)));
-  for (auto _ : state) {
-    std::int32_t pop = nn::kernels::pack_eq_bits(x.data(), len, hi, xbits.data());
-    benchmark::DoNotOptimize(pop);
-    benchmark::DoNotOptimize(xbits.data());
-  }
-  state.SetItemsProcessed(state.iterations() * len);
-}
-BENCHMARK(bm_bitpack_pack)->Arg(1152);
 
 void bm_full_network_reference(benchmark::State& state) {
   auto& s = setup();

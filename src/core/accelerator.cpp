@@ -15,12 +15,11 @@ namespace {
 
 // Reusable per-worker storage for predict lanes — the quantized analogue of
 // the float path's ReplayArena. Thread-local so lanes never contend: a lane
-// keeps every layer output, the executor scratch (pre-pool map, packed
-// window, materialized weight rows) and its Bernoulli sampler across
-// (image, sample) pairs, predict calls and accelerator instances. All
-// buffers grow to the largest shapes seen and are fully overwritten per
-// use, so steady-state lanes are allocation-free; grow_events counts the
-// warmup growths (plus NneScratch's own counter).
+// keeps every layer output, the executor scratch (pre-pool map) and its
+// Bernoulli sampler across (image, sample) pairs, predict calls and
+// accelerator instances. All buffers grow to the largest shapes seen and
+// are fully overwritten per use, so steady-state lanes are allocation-free;
+// grow_events counts the warmup growths (plus NneScratch's own counter).
 struct LaneArena {
   NneScratch scratch;
   std::vector<quant::QTensor> outputs;  // indexed by TRUE layer index
@@ -33,11 +32,6 @@ LaneArena& lane_arena() {
   return arena;
 }
 
-quant::QuantNetwork annotate(quant::QuantNetwork network) {
-  quant::annotate_weight_tiers(network);
-  return network;
-}
-
 }  // namespace
 
 std::uint64_t Accelerator::lane_arena_grow_events() {
@@ -46,8 +40,7 @@ std::uint64_t Accelerator::lane_arena_grow_events() {
 }
 
 Accelerator::Accelerator(quant::QuantNetwork network, AcceleratorConfig config)
-    : Accelerator(std::make_shared<const quant::QuantNetwork>(annotate(std::move(network))),
-                  config) {}
+    : Accelerator(std::make_shared<const quant::QuantNetwork>(std::move(network)), config) {}
 
 Accelerator::Accelerator(std::shared_ptr<const quant::QuantNetwork> network,
                          AcceleratorConfig config,

@@ -45,12 +45,11 @@ struct AcceleratorConfig {
   /// this accelerator uses. Supplying a pool lets a serving layer share one
   /// set of worker threads across many accelerators and requests.
   runtime::ThreadPool* pool = nullptr;
-  /// Kernel-tier CAP for the NNE inner product (see nn/gemm_kernels.h).
-  /// bitpack (the default) routes weights-binarizable layers with two-valued
-  /// activations through the XNOR/popcount path and falls back to int8
-  /// everywhere else; outputs are bit-identical for every setting, so this
-  /// knob trades host simulation speed only.
-  nn::kernels::Tier kernel_tier = nn::kernels::Tier::bitpack;
+  /// Kernel tier of the NNE inner product (see nn/gemm_kernels.h): int8
+  /// (the default) runs the vectorized dot kernels, scalar the reference
+  /// loops. Outputs are bit-identical for every setting, so this knob trades
+  /// host simulation speed only.
+  nn::kernels::Tier kernel_tier = nn::kernels::Tier::int8;
 };
 
 /// Simulated BNN accelerator. Thread-safety: a given Accelerator must be
@@ -67,18 +66,15 @@ struct AcceleratorConfig {
 /// never observe each other.
 class Accelerator {
  public:
-  /// Takes ownership of the network. Runs quant::annotate_weight_tiers on it
-  /// first, so the timing/cost models see binarizable layers even for
-  /// hand-assembled networks (quantize_model output is already annotated).
+  /// Takes ownership of the network.
   Accelerator(quant::QuantNetwork network, AcceleratorConfig config);
 
   /// Shares an already-wrapped network (no copy) and, when given, a prebuilt
   /// execution plan (which must be build_network_exec_plan(*network) or
   /// equivalent); a null plan means "build one". The network must not be
-  /// mutated for the accelerator's lifetime. Callers wanting the binary
-  /// cycle model should annotate before wrapping (quantize_model does). The
-  /// registry-serving path passes its plan so many (replica, model)
-  /// accelerators bind without rebuilding per-layer plans.
+  /// mutated for the accelerator's lifetime. The registry-serving path
+  /// passes its plan so many (replica, model) accelerators bind without
+  /// rebuilding per-layer plans.
   Accelerator(std::shared_ptr<const quant::QuantNetwork> network, AcceleratorConfig config,
               std::shared_ptr<const quant::NetworkExecPlan> plan = nullptr);
 
@@ -162,7 +158,7 @@ class Accelerator {
 
   /// Cumulative allocation (capacity-growth) count of THIS THREAD's lane
   /// arena — the reusable per-worker storage (layer outputs, NNE scratch,
-  /// packed-activation buffers, sampler) that predict lanes run out of.
+  /// sampler) that predict lanes run out of.
   /// After a warmup predict over a network's largest shapes, further
   /// predicts on the same thread leave it unchanged: steady-state lanes are
   /// allocation-free (pinned by tests). Thread-local by design — call it
@@ -181,8 +177,8 @@ class Accelerator {
 
  private:
   std::shared_ptr<const quant::QuantNetwork> network_;
-  // Prebuilt kernel execution plans (index tables, packed weight masks),
-  // one per layer — shared read-only by every lane and every replica copy.
+  // Prebuilt kernel execution plans (conv index tables), one per layer —
+  // shared read-only by every lane and every replica copy.
   std::shared_ptr<const quant::NetworkExecPlan> plan_;
   AcceleratorConfig config_;
   nn::NetworkDesc desc_;

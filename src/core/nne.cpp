@@ -28,21 +28,12 @@ std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; 
 std::int64_t estimate_layer_cycles(const nn::HwLayer& layer, const NneConfig& config) {
   util::require(config.pc >= 1 && config.pf >= 1 && config.pv >= 1,
                 "nne: parallelism degrees must be positive");
-  util::require(config.binary_term_parallelism >= 1,
-                "nne: binary_term_parallelism must be positive");
-  // The term reduction's cost is a PURE function of geometry, configuration
-  // and the static annotation — never of the tier that actually executed
-  // (see the header: annotation drives the model, runtime activation values
-  // drive the execution, and the two may disagree).
   const std::int64_t terms =
       static_cast<std::int64_t>(layer.in_c) * layer.kernel * layer.kernel;
-  const std::int64_t lane_terms =
-      static_cast<std::int64_t>(config.pc) *
-      (layer.weights_binarizable ? config.binary_term_parallelism : 1);
   const std::int64_t filter_tiles = ceil_div(layer.out_c, config.pf);
   const std::int64_t position_tiles =
       ceil_div(static_cast<std::int64_t>(layer.conv_out_h) * layer.conv_out_w, config.pv);
-  return filter_tiles * ceil_div(terms, lane_terms) * position_tiles;
+  return filter_tiles * ceil_div(terms, config.pc) * position_tiles;
 }
 
 NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerExecPlan& plan,

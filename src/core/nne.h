@@ -20,16 +20,10 @@
 // above and asserts the closed form equals their count.
 //
 // Kernel tiers: the inner product dispatches through nn::kernels::Tier. The
-// tier changes only HOW the int32 accumulators are computed (scalar loops,
-// vectorized int8 dot kernels, or the packed popcount path of quant/qplan.h)
-// — never WHAT they contain, so outputs are bit-identical across tiers.
-// Cycle counts are likewise tier-independent at runtime: a layer is charged
-// by the closed-form formula below, which credits binary term parallelism
-// from the STATIC HwLayer::weights_binarizable annotation alone. An
-// un-annotated net that happens to hit the packed path simply runs faster
-// than modelled; an annotated net that falls back (three-valued
-// activations) is modelled as binary hardware would be — the modelled
-// machine has the popcount datapath either way.
+// tier changes only HOW the int32 accumulators are computed (plain scalar
+// loops or the vectorized int8 dot kernels) — never WHAT they contain, so
+// outputs are bit-identical across tiers, and the cycle charge depends on
+// geometry and configuration alone.
 #ifndef BNN_CORE_NNE_H
 #define BNN_CORE_NNE_H
 
@@ -53,12 +47,6 @@ struct NneConfig {
   int data_width_bits = 8;
   // Pipeline depth of PE + FU + DU, charged once per layer.
   int pipeline_fill_cycles = 24;
-  // Extra term parallelism for weights-binarizable layers: the XNOR/popcount
-  // datapath reduces this many more terms per multiplier lane per cycle
-  // (single-bit products cost ~1/8 of an 8-bit MAC in LUTs, so the same
-  // fabric fits 8x the reducers). Credited per layer by the STATIC
-  // HwLayer::weights_binarizable annotation; see the header comment.
-  int binary_term_parallelism = 8;
 
   std::int64_t macs_per_cycle() const {
     return static_cast<std::int64_t>(pc) * pf * pv;
@@ -90,10 +78,10 @@ using NneScratch = quant::LayerScratch;
 
 // Executes one layer into `out` (resized in place, capacity reused; must not
 // alias `input`/`shortcut`) and charges its closed-form cycles. `plan` must
-// be build_layer_exec_plan(layer). `tier` is a CAP (see nn/gemm_kernels.h):
-// bitpack falls back to int8 unless the layer's weights are binarizable and
-// this input is two-valued. `shortcut` must be non-null iff the layer has a
-// shortcut; `masks` must be non-null when `site_active`.
+// be build_layer_exec_plan(layer). `tier` picks the inner product (see
+// nn/gemm_kernels.h; bitpack is an alias of int8). `shortcut` must be
+// non-null iff the layer has a shortcut; `masks` must be non-null when
+// `site_active`.
 NneLayerStats nne_run_layer_into(const quant::QLayer& layer, const quant::LayerExecPlan& plan,
                                  const quant::QTensor& input, const quant::QTensor* shortcut,
                                  bool site_active, nn::MaskSource* masks,

@@ -22,15 +22,12 @@ namespace bnn::nn::kernels {
 
 // --- kernel tiers -----------------------------------------------------------
 // The quantized compute path (core/nne.cpp and quant/qops.cpp) dispatches
-// its inner product through one of three tiers. The tier a caller passes is
-// a CAP, not a demand: Tier::bitpack routes a layer through the packed
-// popcount path only when the layer's weights are binarizable AND the pass's
-// activations are two-valued (quant/qplan.h), and falls back to Tier::int8
-// otherwise — so outputs are bit-identical across tiers unconditionally.
+// its inner product through a tier. int32 accumulation is exact, so outputs
+// are bit-identical across tiers; the tier trades host speed only.
 enum class Tier {
   scalar,   // plain per-term reference loops (the specification)
   int8,     // vectorized dot_i8_zp / dot_i8_zp_gather kernels
-  bitpack,  // bit-packed XNOR/popcount (+ ternary pass/negate/zero) tier
+  bitpack,  // alias of int8, kept for callers that still name it
 };
 
 const char* tier_name(Tier tier);

@@ -49,15 +49,6 @@ struct HwLayer {
   bool is_bayes_site = false;
   int site_index = -1;
 
-  // Kernel-tier annotation: the layer's quantized weights admit the packed
-  // binary/ternary tier (every row two/three-valued with one shared
-  // magnitude — see quant/qplan.h). A STATIC weight-only property set by
-  // quant::annotate_weight_tiers (quantize_model does it), never a runtime
-  // activation fact, so modelled cycle counts stay deterministic. The cycle
-  // model (core::estimate_layer_cycles) credits such a layer with
-  // NneConfig::binary_term_parallelism extra term parallelism.
-  bool weights_binarizable = false;
-
   std::int64_t macs() const {
     return static_cast<std::int64_t>(out_c) * in_c * kernel * kernel * conv_out_h * conv_out_w;
   }

@@ -7,41 +7,12 @@
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
-#include "quant/qplan.h"
 #include "util/check.h"
 
 namespace bnn::quant {
 
-void QLayer::materialize_weight_row(int f, std::int8_t* dst) const {
-  const int terms = geom.in_c * geom.kernel * geom.kernel;
-  if (!weights_packed) {
-    const std::int8_t* src = weight_row(f);
-    std::copy(src, src + terms, dst);
-    return;
-  }
-  const std::int32_t mag = packed_magnitude[static_cast<std::size_t>(f)];
-  const std::uint64_t* plus =
-      packed_plus.data() + static_cast<std::size_t>(f) * packed_words;
-  const std::uint64_t* minus =
-      packed_minus.data() + static_cast<std::size_t>(f) * packed_words;
-  for (int t = 0; t < terms; ++t) {
-    const int word = t / 64;
-    const std::uint64_t bit = std::uint64_t{1} << (t % 64);
-    // +W with W == 128 is unreachable (not representable in int8), so the
-    // casts below cannot overflow.
-    std::int32_t v = 0;
-    if ((plus[word] & bit) != 0)
-      v = mag;
-    else if ((minus[word] & bit) != 0)
-      v = -mag;
-    dst[t] = static_cast<std::int8_t>(v);
-  }
-}
-
 std::size_t QLayer::resident_weight_bytes() const {
-  return weights.size() * sizeof(std::int8_t) +
-         packed_magnitude.size() * sizeof(std::int32_t) +
-         (packed_plus.size() + packed_minus.size()) * sizeof(std::uint64_t);
+  return weights.size() * sizeof(std::int8_t);
 }
 
 std::size_t QuantNetwork::resident_weight_bytes() const {
@@ -284,10 +255,6 @@ QuantNetwork quantize_model(nn::Model& model, const data::Dataset& calibration,
 
     qnet.layers.push_back(std::move(qlayer));
   }
-  // Stamp the static kernel-tier annotation so describe() (and through it
-  // the performance and serving cost models) sees which layers admit the
-  // packed binary/ternary tier.
-  annotate_weight_tiers(qnet);
   return qnet;
 }
 

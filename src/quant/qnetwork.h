@@ -46,22 +46,8 @@ struct QLayer {
   QuantParams out;
 
   // Row-major [out_c][in_c * k * k] weights; per-output-channel scales.
-  // Empty when `weights_packed` — binarizable layers can drop the byte rows
-  // and keep only the packed masks below (~8x smaller resident footprint).
   std::vector<std::int8_t> weights;
   std::vector<float> weight_scales;
-
-  // Packed storage for binarizable layers (every row drawn from
-  // {-W_f, 0, +W_f}): per-row magnitude plus [out_c][packed_words] +W / -W
-  // bit masks, exactly the representation the bitpack kernel tier consumes.
-  // Populated by quant::pack_binarizable_weights; rows are reconstructed
-  // losslessly by materialize_weight_row (a +W_f bit with W_f == 128 cannot
-  // occur, since +128 is not representable in int8).
-  bool weights_packed = false;
-  int packed_words = 0;  // bit_words(in_c * k * k)
-  std::vector<std::int32_t> packed_magnitude;  // per-row W_f
-  std::vector<std::uint64_t> packed_plus;      // [out_c][packed_words]
-  std::vector<std::uint64_t> packed_minus;     // [out_c][packed_words]
   // Accumulator-domain bias (conv/linear bias; zero-filled when absent).
   std::vector<std::int32_t> bias;
   // Per-channel requantization: accumulator -> output int8 units, including
@@ -72,19 +58,13 @@ struct QLayer {
   // Rescale for the shortcut operand (source units -> output units).
   FixedMultiplier shortcut_rescale;
 
-  // Direct row access — only valid while the byte rows are resident
-  // (!weights_packed). Packed layers must materialize instead.
   const std::int8_t* weight_row(int f) const {
     return weights.data() +
            static_cast<std::size_t>(f) * geom.in_c * geom.kernel * geom.kernel;
   }
 
-  // Writes row f (in_c * k * k int8 terms) into `dst`, decoding the packed
-  // masks when weights_packed. Exact for both representations.
-  void materialize_weight_row(int f, std::int8_t* dst) const;
-
-  // Bytes this layer's weight storage actually occupies (byte rows or
-  // packed masks + magnitudes) — the registry's residency currency.
+  // Bytes this layer's weight rows occupy — the registry's residency
+  // currency.
   std::size_t resident_weight_bytes() const;
 };
 

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "nn/activations.h"
-#include "nn/bitpack_kernels.h"
 #include "nn/gemm_kernels.h"
 #include "util/check.h"
 
@@ -14,78 +13,27 @@ namespace {
 
 using nn::kernels::Tier;
 
-// Resolves the tier CAP against what this (layer, input) pair supports:
-// Tier::bitpack demotes to Tier::int8 unless the weights are binarizable AND
-// the activations are two-valued. On success fills lo/hi.
-Tier resolve_tier(Tier tier, const LayerExecPlan& plan, const QTensor& input, std::int8_t* lo,
-                  std::int8_t* hi) {
-  if (tier != Tier::bitpack) return tier;
-  if (!plan.weights_binarizable || !two_valued_activations(input, lo, hi)) return Tier::int8;
-  return Tier::bitpack;
-}
-
-// Grows a vector to `n` elements, counting capacity growths (allocations).
-template <typename T>
-void grow_to(std::vector<T>& vec, std::size_t n, std::uint64_t& grow_events) {
-  if (n > vec.capacity()) ++grow_events;
-  vec.resize(n);
-}
-
 // PE + FU/BN + FU/SC + FU/ReLU for one layer, before pooling: writes the
-// int8 map of conv_out_h x conv_out_w positions into `pre`. All three tiers
+// int8 map of conv_out_h x conv_out_w positions into `pre`. Both kernels
 // produce the same int32 accumulator values (int32 accumulation is exact
-// and associative; the packed closed form is exact by the qplan.h
-// identity), hence identical int8 bits after the FU stages.
-void compute_pre_pool(const QLayer& layer, const LayerExecPlan& plan, Tier tier,
-                      const QTensor& input, const QTensor* shortcut, LayerScratch& scratch,
-                      QTensor& pre) {
+// and associative), hence identical int8 bits after the FU stages.
+void compute_pre_pool(const QLayer& layer, const LayerExecPlan& plan, bool use_kernels,
+                      const QTensor& input, const QTensor* shortcut, QTensor& pre) {
   const nn::HwLayer& g = layer.geom;
   const std::int32_t zp_in = layer.in.zero_point;
   const std::int32_t zp_out = layer.out.zero_point;
   const int terms = plan.terms;
-  const bool is_linear = g.op == nn::HwLayer::Op::linear;
-
-  std::int8_t lo = 0, hi = 0;
-  tier = resolve_tier(tier, plan, input, &lo, &hi);
-  const std::int32_t base = static_cast<std::int32_t>(lo) - zp_in;
-  const std::int32_t delta = static_cast<std::int32_t>(hi) - lo;
-
-  // Packed-weight layers dropped their byte rows. The bitpack interior path
-  // reads only the masks, but the int8/scalar tiers and conv border windows
-  // still need byte rows — materialize them into the scratch once per call
-  // (exact reconstruction, so bits are unchanged).
-  const bool has_border =
-      !is_linear &&
-      (g.pad > 0 || (g.conv_out_h - 1) * g.stride + g.kernel > g.in_h ||
-       (g.conv_out_w - 1) * g.stride + g.kernel > g.in_w);
-  const std::int8_t* wmatrix = layer.weights.data();
-  if (layer.weights_packed && (tier != Tier::bitpack || has_border)) {
-    grow_to(scratch.wrows, static_cast<std::size_t>(g.out_c) * terms, scratch.grow_events);
-    for (int f = 0; f < g.out_c; ++f)
-      layer.materialize_weight_row(f, scratch.wrows.data() + static_cast<std::size_t>(f) * terms);
-    wmatrix = scratch.wrows.data();
-  }
-  const auto weight_row = [&](int f) {
-    return wmatrix + static_cast<std::size_t>(f) * terms;
-  };
-  if (tier == Tier::bitpack)
-    grow_to(scratch.xbits, static_cast<std::size_t>(plan.words), scratch.grow_events);
   const std::int8_t* in_data = input.data.data();
 
-  if (is_linear) {
-    std::int32_t x_pop = 0;
-    if (tier == Tier::bitpack)
-      x_pop = nn::kernels::pack_eq_bits(in_data, terms, hi, scratch.xbits.data());
+  if (g.op == nn::HwLayer::Op::linear) {
     for (int f = 0; f < g.out_c; ++f) {
+      const std::int8_t* w = layer.weight_row(f);
       std::int32_t acc = layer.bias[static_cast<std::size_t>(f)];
-      if (tier == Tier::bitpack) {
-        acc += packed_row_dot(plan, f, scratch.xbits.data(), x_pop, base, delta);
-      } else if (tier == Tier::int8) {
+      if (use_kernels) {
         // int32 accumulation is exact, so the vectorized dot kernel matches
         // the plain per-term loop bit-for-bit.
-        acc += nn::kernels::dot_i8_zp(in_data, weight_row(f), terms, zp_in);
+        acc += nn::kernels::dot_i8_zp(in_data, w, terms, zp_in);
       } else {
-        const std::int8_t* w = weight_row(f);
         for (int t = 0; t < terms; ++t)
           acc += (static_cast<std::int32_t>(in_data[t]) - zp_in) *
                  static_cast<std::int32_t>(w[t]);
@@ -113,8 +61,7 @@ void compute_pre_pool(const QLayer& layer, const LayerExecPlan& plan, Tier tier,
       g.has_shortcut ? shortcut->params.zero_point : 0;
 
   // Border window: padding terms contribute zero; every term bound-checked.
-  // Shared verbatim by all tiers (the packed path never packs borders), so
-  // border bits agree across tiers by construction.
+  // Shared verbatim by both tiers, so border bits agree by construction.
   const auto border_dot = [&](const std::int8_t* w, int ih0, int iw0) {
     std::int32_t acc = 0;
     for (int t = 0; t < terms; ++t) {
@@ -141,42 +88,14 @@ void compute_pre_pool(const QLayer& layer, const LayerExecPlan& plan, Tier tier,
     pre.at(f, oh, ow) = saturate_int8(q);
   };
 
-  if (tier == Tier::bitpack) {
-    // Position-outer so each interior window is packed ONCE and amortized
-    // over all out_c filter rows. Each output element is written exactly
-    // once, so the loop-order change from the f-outer tiers is observationally
-    // identical.
-    std::uint64_t* xbits = scratch.xbits.data();
-    for (int oh = 0; oh < g.conv_out_h; ++oh) {
-      for (int ow = 0; ow < g.conv_out_w; ++ow) {
-        const int ih0 = oh * g.stride - g.pad;
-        const int iw0 = ow * g.stride - g.pad;
-        const bool interior =
-            ih0 >= 0 && iw0 >= 0 && ih0 + g.kernel <= g.in_h && iw0 + g.kernel <= g.in_w;
-        std::int32_t x_pop = 0;
-        if (interior)
-          x_pop = nn::kernels::pack_eq_bits_gather(
-              in_data + static_cast<std::size_t>(ih0) * g.in_w + iw0, term_off, terms, hi,
-              xbits);
-        for (int f = 0; f < g.out_c; ++f) {
-          std::int32_t acc = layer.bias[static_cast<std::size_t>(f)];
-          acc += interior ? packed_row_dot(plan, f, xbits, x_pop, base, delta)
-                          : border_dot(weight_row(f), ih0, iw0);
-          fu_store(f, oh, ow, acc);
-        }
-      }
-    }
-    return;
-  }
-
   for (int f = 0; f < g.out_c; ++f) {
-    const std::int8_t* w = weight_row(f);
+    const std::int8_t* w = layer.weight_row(f);
     for (int oh = 0; oh < g.conv_out_h; ++oh) {
       for (int ow = 0; ow < g.conv_out_w; ++ow) {
         const int ih0 = oh * g.stride - g.pad;
         const int iw0 = ow * g.stride - g.pad;
         std::int32_t acc = layer.bias[static_cast<std::size_t>(f)];
-        if (tier == Tier::int8 && ih0 >= 0 && iw0 >= 0 && ih0 + g.kernel <= g.in_h &&
+        if (use_kernels && ih0 >= 0 && iw0 >= 0 && ih0 + g.kernel <= g.in_h &&
             iw0 + g.kernel <= g.in_w) {
           // Interior window: every term in bounds, gather through the
           // precomputed offset table. The scalar tier takes the checked
@@ -285,11 +204,12 @@ void run_layer_into(const QLayer& layer, const LayerExecPlan& plan, nn::kernels:
   // map IS the stored output, so write it there directly and leave
   // scratch.pre untouched.
   const bool has_pool = g.pool_is_global || g.pool_kernel > 0;
-  if (out.reset({g.out_c, g.out_h, g.out_w}, layer.out)) ++scratch.grow_events;
-  if (has_pool && scratch.pre.reset({g.out_c, g.conv_out_h, g.conv_out_w}, layer.out))
+  if (out.reset(g.out_c, g.out_h, g.out_w, layer.out)) ++scratch.grow_events;
+  if (has_pool && scratch.pre.reset(g.out_c, g.conv_out_h, g.conv_out_w, layer.out))
     ++scratch.grow_events;
   QTensor& pre = has_pool ? scratch.pre : out;
-  compute_pre_pool(layer, plan, tier, input, shortcut, scratch, pre);
+  // Tier::bitpack is an alias of Tier::int8: both run the dot_i8_zp kernels.
+  compute_pre_pool(layer, plan, tier != Tier::scalar, input, shortcut, pre);
   if (has_pool) apply_pool(layer, pre, out);
   if (site_active) apply_dropout(layer, out, *masks, dropout_keep);
 }

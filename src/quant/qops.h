@@ -33,9 +33,7 @@ namespace bnn::quant {
 // `grow_events` counts the capacity growths that did happen (the
 // accelerator's steady-state-zero-allocation test watches it).
 struct LayerScratch {
-  QTensor pre;                       // pre-pool position map (pooled layers)
-  std::vector<std::uint64_t> xbits;  // one packed activation window (bitpack tier)
-  std::vector<std::int8_t> wrows;    // materialized byte rows of packed-weight layers
+  QTensor pre;  // pre-pool position map (pooled layers)
   std::uint64_t grow_events = 0;
 };
 
@@ -43,11 +41,11 @@ struct LayerScratch {
 // alias `input`/`shortcut`). `plan` must be build_layer_exec_plan(layer).
 // `shortcut` must be non-null iff geom.has_shortcut. When `site_active` is
 // true one drop decision per output filter is drawn from `masks` (which must
-// then be non-null), in ascending filter order. The tier is a CAP (see
-// nn/gemm_kernels.h): Tier::bitpack falls back to Tier::int8 unless the
-// layer's weights are binarizable and this input is two-valued, so outputs
-// are bit-identical across tiers unconditionally (enforced by
-// tests/test_bitpack.cpp).
+// then be non-null), in ascending filter order. `tier` picks the inner
+// product (see nn/gemm_kernels.h): Tier::scalar runs the plain per-term
+// reference loops, Tier::int8 and its alias Tier::bitpack the dot_i8_zp
+// kernels. int32 accumulation is exact, so outputs are bit-identical across
+// tiers (enforced by tests/test_nne.cpp).
 void run_layer_into(const QLayer& layer, const LayerExecPlan& plan, nn::kernels::Tier tier,
                     const QTensor& input, const QTensor* shortcut, bool site_active,
                     nn::MaskSource* masks, FixedMultiplier dropout_keep, LayerScratch& scratch,

@@ -42,16 +42,13 @@ QTensor::QTensor(std::vector<int> shape_in, QuantParams params_in) {
               static_cast<std::int8_t>(saturate_int8(params.zero_point)));
 }
 
-bool QTensor::reset(const std::vector<int>& shape_in, QuantParams params_in) {
-  shape = shape_in;
+bool QTensor::reset(int c, int h, int w, QuantParams params_in) {
+  util::require(c > 0 && h > 0 && w > 0, "qtensor: shape entries must be positive");
+  shape.assign({c, h, w});
   params = params_in;
-  std::int64_t n = 1;
-  for (int s : shape) {
-    util::require(s > 0, "qtensor: shape entries must be positive");
-    n *= s;
-  }
-  const bool grew = static_cast<std::size_t>(n) > data.capacity();
-  data.resize(static_cast<std::size_t>(n));
+  const std::size_t n = static_cast<std::size_t>(c) * h * w;
+  const bool grew = n > data.capacity();
+  data.resize(n);
   return grew;
 }
 

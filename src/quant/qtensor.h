@@ -35,11 +35,12 @@ struct QTensor {
   QTensor() = default;
   QTensor(std::vector<int> shape_in, QuantParams params_in);
 
-  // Re-shapes in place, reusing the data buffer's capacity (the accelerator's
-  // per-lane arena calls this every sample). Unlike the constructor the
-  // payload is NOT zero-point-filled — callers must overwrite every element.
-  // Returns true when the buffer had to grow (an allocation happened).
-  bool reset(const std::vector<int>& shape_in, QuantParams params_in);
+  // Re-shapes in place to {C, H, W}, reusing the shape and data buffers'
+  // capacity (the accelerator's per-lane arena calls this every sample).
+  // Unlike the constructor the payload is NOT zero-point-filled — callers
+  // must overwrite every element. Returns true when the data buffer had to
+  // grow (an allocation happened).
+  bool reset(int c, int h, int w, QuantParams params_in);
 
   std::int64_t numel() const { return static_cast<std::int64_t>(data.size()); }
   int channels() const { return shape.empty() ? 0 : shape[0]; }

@@ -196,8 +196,6 @@ std::shared_ptr<const quant::NetworkExecPlan> ModelRegistry::assembled_plan_lock
 std::shared_ptr<const ModelVersion> ModelRegistry::publish(const std::string& name,
                                                            quant::QuantNetwork network,
                                                            ModelConfig config) {
-  quant::annotate_weight_tiers(network);
-  if (config.pack_binarizable_weights) quant::pack_binarizable_weights(network);
   return publish(name, std::make_shared<const quant::QuantNetwork>(std::move(network)),
                  config);
 }

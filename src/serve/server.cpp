@@ -47,8 +47,7 @@ Server::Server(core::Accelerator accelerator, ServerConfig config)
       accel_config_(accelerator.config()) {
   // Single-model compatibility shim: the accelerator's network becomes the
   // internal registry's only tenant. The network handle is shared const
-  // (already annotated by the Accelerator constructor) and is published
-  // as-is — no in-place repacking of weights another holder may be using.
+  // and is published as-is.
   ModelConfig model_config;
   model_config.workload_id = config_.trace_workload_id;
   registry_->publish(config_.default_model, accelerator.shared_network(), model_config);

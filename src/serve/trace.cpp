@@ -287,23 +287,8 @@ std::uint64_t network_fingerprint(const quant::QuantNetwork& network) {
     hash.i32(layer.in.zero_point);
     hash.f32(layer.out.scale);
     hash.i32(layer.out.zero_point);
-    // Weight bytes are hashed in materialized row-major form so packed and
-    // unpacked storage of the same weights share one fingerprint (and
-    // unpacked nets keep the exact digest of the pre-packing format:
-    // rows are contiguous, so this is the same byte stream).
-    const std::size_t row_terms = static_cast<std::size_t>(geom.in_c) *
-                                  geom.kernel * geom.kernel;
-    if (!layer.weights_packed) {
-      hash.u64(layer.weights.size());
-      hash.bytes(layer.weights.data(), layer.weights.size());
-    } else {
-      hash.u64(static_cast<std::uint64_t>(geom.out_c) * row_terms);
-      std::vector<std::int8_t> wrow(row_terms);
-      for (int f = 0; f < geom.out_c; ++f) {
-        layer.materialize_weight_row(f, wrow.data());
-        hash.bytes(wrow.data(), row_terms);
-      }
-    }
+    hash.u64(layer.weights.size());
+    hash.bytes(layer.weights.data(), layer.weights.size());
     for (const float scale : layer.weight_scales) hash.f32(scale);
     for (const std::int32_t bias : layer.bias) hash.i32(bias);
     for (const quant::FixedMultiplier& requant : layer.requant) {

@@ -20,12 +20,21 @@
 
 namespace bnn::util {
 
-// Throw std::invalid_argument with `what` unless `condition` holds.
+// Throw std::invalid_argument with `what` unless `condition` holds. The
+// `const char*` overloads build no std::string on a passing check, so hot
+// paths that check with literal messages stay allocation-free; the
+// std::string overloads serve composed messages.
+inline void require(bool condition, const char* what) {
+  if (!condition) throw std::invalid_argument(what);
+}
 inline void require(bool condition, const std::string& what) {
   if (!condition) throw std::invalid_argument(what);
 }
 
 // Throw std::logic_error with `what` unless `condition` holds.
+inline void ensure(bool condition, const char* what) {
+  if (!condition) throw std::logic_error(what);
+}
 inline void ensure(bool condition, const std::string& what) {
   if (!condition) throw std::logic_error(what);
 }

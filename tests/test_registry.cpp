@@ -106,7 +106,7 @@ std::vector<serve::Response> single_model_baseline(
   return responses;
 }
 
-// Packed weight footprints of the fixture nets, via a throwaway registry.
+// Weight footprints of the fixture nets, via a throwaway registry.
 std::uint64_t published_bytes(const quant::QuantNetwork& net) {
   serve::ModelRegistry probe;
   return probe.publish("probe", net)->weight_bytes;
