@@ -106,7 +106,6 @@ Accelerator::BatchPrediction Accelerator::predict_batch(
   for (int n = 0; n < batch; ++n) {
     const ImageRequest& request = requests[static_cast<std::size_t>(n)];
     util::require(request.num_samples >= 1, "accelerator: need at least one sample");
-    util::require(request.sample_offset >= 0, "accelerator: sample_offset must be >= 0");
     util::require(request.bayes_layers >= 0 && request.bayes_layers <= network_->num_sites,
                   "accelerator: bayes_layers out of range");
     ImagePlan& plan = plans[static_cast<std::size_t>(n)];
@@ -231,8 +230,7 @@ Accelerator::BatchPrediction Accelerator::predict_batch(
           arena.outputs.resize(network_->layers.size());
           ++arena.grow_events;
         }
-        BernoulliSampler& sampler =
-            lane_sampler(arena, request.stream_id, request.sample_offset + s);
+        BernoulliSampler& sampler = lane_sampler(arena, request.stream_id, s);
         std::int64_t cycles = 0;
         float* prob_row = all_probs.data() + all_probs.index2(static_cast<int>(pair), 0);
 

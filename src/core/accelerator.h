@@ -86,16 +86,6 @@ class Accelerator {
     int bayes_layers = 0;         ///< L: last-L sites active (0 = deterministic)
     int num_samples = 1;          ///< S: MC samples averaged for this image
     std::uint64_t stream_id = 0;  ///< lane family fed to sample_stream_seed
-    /// First sample index of this request's lane range: sample s draws from
-    /// sample_stream_seed(seed, stream_id, sample_offset + s). Lets a caller
-    /// split one logical S-sample prediction across multiple requests with
-    /// non-overlapping sample windows (the serving layer's escalation-reuse
-    /// mode): {offset 0, S1 samples} followed by {offset S1, S - S1 samples}
-    /// consumes exactly the mask streams a single {offset 0, S} request
-    /// would. The AVERAGES then differ from the single-request result only
-    /// in float summation order (each window is averaged before merging) —
-    /// deterministic, but not bit-identical to the unsplit reduction.
-    int sample_offset = 0;
   };
 
   struct Prediction {

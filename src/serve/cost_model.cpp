@@ -1,6 +1,5 @@
 #include "serve/cost_model.h"
 
-#include "core/accelerator.h"
 #include "serve/server.h"
 #include "util/check.h"
 
@@ -8,21 +7,6 @@ namespace bnn::serve {
 
 CostModel::CostModel(core::PerfConfig config, bool use_intermediate_caching)
     : config_(config), use_intermediate_caching_(use_intermediate_caching) {}
-
-CostModel::CostModel(nn::NetworkDesc desc, core::PerfConfig config,
-                     bool use_intermediate_caching)
-    : CostModel(config, use_intermediate_caching) {
-  bind_model(0, std::move(desc), 0);
-}
-
-std::unique_ptr<CostModel> CostModel::for_accelerator(const core::Accelerator& accelerator) {
-  const core::AcceleratorConfig& config = accelerator.config();
-  auto model = std::make_unique<CostModel>(core::PerfConfig{config.nne, config.ddr},
-                                           config.use_intermediate_caching);
-  model->bind_model(0, accelerator.network().describe(),
-                    accelerator.network().resident_weight_bytes());
-  return model;
-}
 
 void CostModel::bind_model(ModelKey key, nn::NetworkDesc desc, std::uint64_t weight_bytes,
                            const void* tag, std::vector<std::uint64_t> segment_bytes) {
@@ -82,15 +66,9 @@ double CostModel::first_pass_ms(ModelKey key, const RequestOptions& options) con
 
 double CostModel::admission_ms(ModelKey key, const RequestOptions& options) const {
   double ms = first_pass_ms(key, options);
-  if (options.use_uncertainty_router) {
-    // Escalation-reuse servers rerun only the samples the screening pass
-    // did not already draw (when there are any); classic servers recompute
-    // the full S from scratch.
-    const int second_pass =
-        escalation_reuse_ ? options.num_samples - options.screening_samples
-                          : options.num_samples;
-    if (second_pass > 0) ms += modelled_ms(key, options.bayes_layers, second_pass);
-  }
+  // An escalation recomputes the full S from scratch.
+  if (options.use_uncertainty_router)
+    ms += modelled_ms(key, options.bayes_layers, options.num_samples);
   return ms;
 }
 

@@ -18,8 +18,7 @@
 // cold_reload_ms() and reload_ms() price loading an evicted tenant's
 // weights back from DDR (core::DdrModel at the accelerator clock), which is
 // how dispatch and admission learn that a cold model is costlier than a hot
-// one. The legacy
-// single-model methods delegate to key 0.
+// one.
 //
 // Modelled milliseconds are accelerator-clock milliseconds; a calibration
 // scale (core::PerfCalibration) maps them onto measured wall milliseconds
@@ -46,10 +45,6 @@
 #include "core/perf_model.h"
 #include "nn/netdesc.h"
 
-namespace bnn::core {
-class Accelerator;
-}
-
 namespace bnn::serve {
 
 struct RequestOptions;
@@ -59,14 +54,6 @@ class CostModel {
  public:
   // Empty multi-tenant model: bind tenants with bind_model().
   CostModel(core::PerfConfig config, bool use_intermediate_caching);
-
-  // Legacy single-model form: binds `desc` as key 0.
-  CostModel(nn::NetworkDesc desc, core::PerfConfig config, bool use_intermediate_caching);
-
-  // Builds the model for the network/config an accelerator serves (the
-  // same estimate_mc inputs as Accelerator::estimate), bound as key 0.
-  // Heap-allocated because the internal cache mutex pins the object.
-  static std::unique_ptr<CostModel> for_accelerator(const core::Accelerator& accelerator);
 
   // Registers (or on hot-swap replaces) tenant `key`: its description, its
   // resident weight footprint (the DDR reload payload), and an opaque
@@ -84,38 +71,21 @@ class CostModel {
   // Modelled milliseconds of one image's MC inference at {L, S} on tenant
   // `key` — cached per (L, S) pair; thread-safe.
   double modelled_ms(ModelKey key, int bayes_layers, int num_samples) const;
-  double modelled_ms(int bayes_layers, int num_samples) const {
-    return modelled_ms(0, bayes_layers, num_samples);
-  }
 
   // Modelled cost of the FIRST accelerator pass a request triggers: the
   // screening pass for routed requests, the full-S pass otherwise. This is
   // the dispatcher's group-ranking unit (the escalation second pass is not
   // known at dispatch time).
   double first_pass_ms(ModelKey key, const RequestOptions& options) const;
-  double first_pass_ms(const RequestOptions& options) const {
-    return first_pass_ms(0, options);
-  }
 
-  // Worst-case modelled total: first pass plus the escalation pass for
-  // routed requests. The adaptive policy's admission unit — overload
-  // decisions assume a routed request may escalate. With escalation reuse
-  // enabled (ServerConfig::reuse_screening_samples) the second pass runs
-  // only the num_samples - screening_samples NEW samples, and the admission
-  // bound tightens accordingly.
+  // Worst-case modelled total: first pass plus the full-S escalation pass
+  // for routed requests. The adaptive policy's admission unit — overload
+  // decisions assume a routed request may escalate.
   double admission_ms(ModelKey key, const RequestOptions& options) const;
-  double admission_ms(const RequestOptions& options) const { return admission_ms(0, options); }
-
-  // Mirrors ServerConfig::reuse_screening_samples into admission_ms. Set
-  // once at startup, before concurrent readers exist.
-  void set_escalation_reuse(bool reuse) { escalation_reuse_ = reuse; }
 
   // Modelled cost after a shedding downgrade: screening pass only for
   // routed requests (the downgrade's saving), the full pass otherwise.
   double downgraded_ms(ModelKey key, const RequestOptions& options) const;
-  double downgraded_ms(const RequestOptions& options) const {
-    return downgraded_ms(0, options);
-  }
 
   // Modelled milliseconds of loading tenant `key`'s weights back from DDR
   // after an eviction (core::DdrModel transfer at the NNE clock). Charged
@@ -144,12 +114,8 @@ class CostModel {
   // Modelled milliseconds mapped onto the calibrated wall clock — the
   // tenant's override when set, the global scale otherwise.
   double wall_ms(ModelKey key, double modelled) const;
-  double wall_ms(double modelled) const {
-    return modelled * calibration_.wall_ms_per_modelled_ms;
-  }
 
   int num_sites(ModelKey key) const;
-  int num_sites() const { return num_sites(0); }
 
  private:
   struct Entry {
@@ -169,7 +135,6 @@ class CostModel {
 
   core::PerfConfig config_;
   bool use_intermediate_caching_;
-  bool escalation_reuse_ = false;
   core::PerfCalibration calibration_;
   mutable std::mutex mutex_;
   // unique_ptr so entries stay put as tenants bind (indexed by ModelKey).

@@ -107,7 +107,7 @@ ReplayReport run_replay(Server& server, const Trace& trace, const ReplayConfig& 
   return report;
 }
 
-ServerConfig replay_server_config(const Trace& trace, const ReplayConfig& config) {
+ServerConfig replay_server_config(const ReplayConfig& config) {
   ServerConfig server_config;
   server_config.max_batch = config.max_batch;
   server_config.num_threads = config.num_threads;
@@ -115,7 +115,6 @@ ServerConfig replay_server_config(const Trace& trace, const ReplayConfig& config
   server_config.dispatch_mode = config.dispatch_mode;
   server_config.overload_policy = OverloadPolicy::block;  // replay sheds nothing
   server_config.max_queue_depth = 0;
-  server_config.reuse_screening_samples = trace.meta.reuse_screening_samples;
   return server_config;
 }
 
@@ -151,7 +150,7 @@ ReplayReport replay_trace(const Trace& trace, const core::Accelerator& accelerat
   }
 
   const auto by_key = models_by_key(trace);
-  Server server(accelerator, replay_server_config(trace, config));
+  Server server(accelerator, replay_server_config(config));
   // Single-model: every record routes to the server's default tenant; the
   // model table is informational only.
   return run_replay(server, trace, config, by_key, /*route_models=*/false);
@@ -193,7 +192,7 @@ ReplayReport replay_trace(const Trace& trace, std::shared_ptr<ModelRegistry> reg
     }
   }
 
-  ServerConfig server_config = replay_server_config(trace, config);
+  ServerConfig server_config = replay_server_config(config);
   // The server needs SOME valid default tenant; route every record
   // explicitly by its table name, so any referenced tenant works.
   server_config.default_model = by_key.begin()->second->name;
@@ -216,7 +215,6 @@ TraceDiff diff_traces(const Trace& a, const Trace& b) {
   // (order-insensitive would be overkill — recorders emit them in
   // first-reference order, which an A/B pair shares).
   diff.meta_matches = a.meta.sampler_seed == b.meta.sampler_seed &&
-                      a.meta.reuse_screening_samples == b.meta.reuse_screening_samples &&
                       a.meta.models.size() == b.meta.models.size();
   if (diff.meta_matches) {
     for (std::size_t i = 0; i < a.meta.models.size(); ++i) {

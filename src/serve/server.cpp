@@ -90,9 +90,6 @@ void Server::init() {
     cost_model_ = std::make_unique<CostModel>(
         core::PerfConfig{accel_config_.nne, accel_config_.ddr},
         accel_config_.use_intermediate_caching);
-    // The admission bound must price the escalation pass the server will
-    // actually run: reuse reruns only the new samples.
-    cost_model_->set_escalation_reuse(config_.reuse_screening_samples);
     cost_model_->bind_model(def->key, def->network->describe(), def->weight_bytes,
                             def.get(), def->segment_bytes);
   }
@@ -143,8 +140,8 @@ void Server::init() {
     admission_log_.reserve(static_cast<std::size_t>(config_.admission_log_capacity));
 
   // Request-trace journal (see serve/trace.h): the header pins everything a
-  // replayer must match — the default model's fingerprint, the sampler
-  // seed, and the escalation-reuse mode — before the first record lands.
+  // replayer must match — the default model's fingerprint and the sampler
+  // seed — before the first record lands.
   // Further tenants enter the model table as their records arrive.
   if (!config_.trace_path.empty()) {
     TraceMeta meta;
@@ -152,7 +149,6 @@ void Server::init() {
         config_.trace_workload_id != 0 ? config_.trace_workload_id : def->workload_id;
     meta.sampler_seed = accel_config_.sampler_seed;
     meta.network_fingerprint = def->fingerprint;
-    meta.reuse_screening_samples = config_.reuse_screening_samples;
     TraceModelInfo info;
     info.model_key = def->key;
     info.model_version = def->version;
@@ -272,7 +268,6 @@ std::future<Response> Server::submit(Request request) {
   const RequestOptions& options = request.options;
   util::require(options.num_samples >= 1, "serve: num_samples must be >= 1");
   util::require(options.screening_samples >= 1, "serve: screening_samples must be >= 1");
-  util::require(options.sample_offset >= 0, "serve: sample_offset must be >= 0");
 
   // Resolve the tenant FIRST: the returned snapshot fixes which weights
   // serve this request (registry publish is the hot-swap linearization
@@ -715,7 +710,7 @@ void Server::serve_batch(Replica& replica, std::vector<Pending> batch) {
           resolve_layers(pending.options),
           pending.options.use_uncertainty_router ? pending.options.screening_samples
                                                  : pending.options.num_samples,
-          pending.stream_id, pending.options.sample_offset};
+          pending.stream_id};
     }
     core::Accelerator::BatchPrediction first = accelerator.predict_batch(images, pass);
 
@@ -754,15 +749,10 @@ void Server::serve_batch(Replica& replica, std::vector<Pending> batch) {
       response.predicted_class = metrics::argmax_rows(response.probs).front();
     }
 
-    // Pass 2: the escalated subset, same stream ids. Classic mode reruns
-    // the full S from scratch — the response is bit-identical to a direct
-    // full-S request (the screening samples are the same deterministic
-    // lanes, simply recomputed). With reuse_screening_samples on, a
-    // promoted request whose full S exceeds its screening S instead reruns
-    // ONLY the new samples (sample_offset = screening S picks up exactly
-    // where the screening window stopped) and the two window averages are
-    // merged by sample count — deterministic, but a different float
-    // reduction order than the direct full-S pass (see ServerConfig).
+    // Pass 2: the escalated subset, same stream ids, rerun at the full S
+    // from scratch — the response is bit-identical to a direct full-S
+    // request (the screening samples are the same deterministic lanes,
+    // simply recomputed).
     std::uint64_t extra_batches = 0;
     if (!escalate.empty()) {
       extra_batches = 1;
@@ -776,56 +766,21 @@ void Server::serve_batch(Replica& replica, std::vector<Pending> batch) {
         const Pending& pending = batch[static_cast<std::size_t>(escalate[i])];
         std::copy(pending.image.data(), pending.image.data() + elems,
                   subset.data() + static_cast<std::int64_t>(i) * elems);
-        const int screen = pass[static_cast<std::size_t>(escalate[i])].num_samples;
-        const bool reuse =
-            config_.reuse_screening_samples && pending.options.num_samples > screen;
-        // The request's own window offset composes with the reuse offset:
-        // the escalation pass continues where the screening window stopped
-        // INSIDE the caller-chosen window.
         full[static_cast<std::size_t>(i)] = core::Accelerator::ImageRequest{
-            resolve_layers(pending.options),
-            reuse ? pending.options.num_samples - screen : pending.options.num_samples,
-            pending.stream_id,
-            pending.options.sample_offset + (reuse ? screen : 0)};
+            resolve_layers(pending.options), pending.options.num_samples, pending.stream_id};
       }
       core::Accelerator::BatchPrediction second = accelerator.predict_batch(subset, full);
       for (int i = 0; i < promoted; ++i) {
         Response& response = responses[static_cast<std::size_t>(escalate[i])];
         const core::Accelerator::ImageRequest& request =
             full[static_cast<std::size_t>(i)];
-        const Pending& pending = batch[static_cast<std::size_t>(escalate[i])];
-        const int screen = pass[static_cast<std::size_t>(escalate[i])].num_samples;
-        const bool reused =
-            config_.reuse_screening_samples && pending.options.num_samples > screen;
-        if (reused) {
-          // Merge the screening average (already in response.probs) with
-          // the new-sample average, weighted by window size, and charge the
-          // request the modelled cost of BOTH passes it consumed.
-          const int total = pending.options.num_samples;
-          const float screen_weight =
-              static_cast<float>(screen) / static_cast<float>(total);
-          const float second_weight =
-              static_cast<float>(request.num_samples) / static_cast<float>(total);
-          const nn::Tensor second_row = second.probs.batch_row(i);
-          for (std::int64_t k = 0; k < response.probs.numel(); ++k) {
-            response.probs.data()[k] = response.probs.data()[k] * screen_weight +
-                                       second_row.data()[k] * second_weight;
-          }
-          const core::RunStats& extra = second.stats[static_cast<std::size_t>(i)];
-          response.stats.total_cycles += extra.total_cycles;
-          response.stats.latency_ms += extra.latency_ms;
-          response.stats.macs += extra.macs;
-          response.stats.ddr_bytes += extra.ddr_bytes;
-          response.stats.mask_bits += extra.mask_bits;
-        } else {
-          response.probs = second.probs.batch_row(i);
-          response.stats = second.stats[static_cast<std::size_t>(i)];
-        }
+        response.probs = second.probs.batch_row(i);
+        response.stats = second.stats[static_cast<std::size_t>(i)];
         response.entropy_nats = metrics::average_predictive_entropy(response.probs);
         response.predicted_class = metrics::argmax_rows(response.probs).front();
         response.escalated = true;
         response.bayes_layers = request.bayes_layers;
-        response.samples_used = pending.options.num_samples;
+        response.samples_used = request.num_samples;
       }
     }
 

@@ -69,16 +69,10 @@
 // flight. An escalated response is bit-identical to what a direct full-S
 // request would have returned; a shed-downgraded response is bit-identical
 // to the screening pass a direct never-escalating request would have
-// returned. Exception: with ServerConfig::reuse_screening_samples on, an
-// escalated response merges the screening average with a second pass over
-// only the NEW samples — still a pure function of the same inputs (the
-// merged windows consume exactly the mask streams a direct full-S request
-// would), but the float reduction order differs, so it is deterministic
-// without being bit-identical to the direct full-S result. Across overload
-// policies only ADMISSION decisions (reject / downgrade) may differ, and
-// each adaptive decision is a pure function of its recorded inputs
-// (adaptive_admission + AdmissionRecord), reproducible by a
-// single-threaded replay.
+// returned. Across overload policies only ADMISSION decisions (reject /
+// downgrade) may differ, and each adaptive decision is a pure function of
+// its recorded inputs (adaptive_admission + AdmissionRecord), reproducible
+// by a single-threaded replay.
 #ifndef BNN_SERVE_SERVER_H
 #define BNN_SERVE_SERVER_H
 
@@ -118,13 +112,6 @@ struct RequestOptions {
   /// entropy (nats) exceeds this. <= 0 escalates everything; >= ln(K)
   /// effectively nothing.
   double entropy_threshold_nats = 0.5;
-  /// First sample index of this request's sampler-lane range (see
-  /// core::Accelerator::ImageRequest::sample_offset): sample s draws from
-  /// stream (stream_id, sample_offset + s). Lets a caller split one logical
-  /// S-sample prediction across requests with non-overlapping windows; the
-  /// router's escalation pass adds its own reuse offset ON TOP of this.
-  /// Must be >= 0.
-  int sample_offset = 0;
 };
 
 /// One inference request: a single image plus its knobs.
@@ -274,18 +261,6 @@ struct ServerConfig {
   /// Ring capacity of the adaptive admission-decision log (0 = disabled).
   /// Tests and replay harnesses read it via Server::admission_log().
   int admission_log_capacity = 0;
-  /// Escalation reuse: when a routed request escalates, rerun only the
-  /// num_samples - screening_samples NEW samples (via
-  /// core::Accelerator::ImageRequest::sample_offset) and merge the two
-  /// sample-window averages, instead of recomputing the full S from
-  /// scratch. Cuts the escalation pass's cost by the screening fraction and
-  /// tightens the adaptive policy's admission bound to match
-  /// (CostModel::admission_ms). The merged response is deterministic (same
-  /// mask streams as a direct full-S request) but NOT bit-identical to one:
-  /// each window is averaged before merging, so the float summation order
-  /// differs. Default off to preserve the strict escalation bit-identity
-  /// documented above.
-  bool reuse_screening_samples = false;
   /// Registry name served when Request::model is empty. Must name a
   /// published model of the registry handed to the multi-tenant
   /// constructor; the legacy single-model constructor publishes its

@@ -83,15 +83,11 @@ double get_f64(std::FILE* file, const char* what) {
 // at a fixed offset so finalize can patch them in place.
 constexpr long kCountsOffset = 8 + 4 + 4 + 4 + 8 + 8;
 
-constexpr std::uint32_t kFlagReuseScreeningSamples = 1u << 0;
-
 void write_header(std::FILE* file, const TraceMeta& meta, std::uint64_t record_count,
                   std::uint64_t admission_count, std::uint32_t model_count) {
   put_u64(file, kTraceMagic);
   put_u32(file, kTraceVersion);
-  std::uint32_t flags = 0;
-  if (meta.reuse_screening_samples) flags |= kFlagReuseScreeningSamples;
-  put_u32(file, flags);
+  put_u32(file, 0);  // reserved flags word
   put_u32(file, meta.workload_id);
   put_u64(file, meta.sampler_seed);
   put_u64(file, meta.network_fingerprint);
@@ -113,7 +109,7 @@ void write_record(std::FILE* file, const TraceRecord& record) {
   put_i32(file, record.options.num_samples);
   put_i32(file, record.options.bayes_layers);
   put_i32(file, record.options.screening_samples);
-  put_i32(file, record.options.sample_offset);
+  put_i32(file, 0);  // reserved slot
   put_u8(file, record.options.use_uncertainty_router ? 1 : 0);
   put_f64(file, record.options.entropy_threshold_nats);
   put_u32(file, static_cast<std::uint32_t>(record.image_c));
@@ -175,7 +171,8 @@ TraceRecord read_record(std::FILE* file, std::uint32_t version) {
   record.options.num_samples = get_i32(file, "record num_samples");
   record.options.bayes_layers = get_i32(file, "record bayes_layers");
   record.options.screening_samples = get_i32(file, "record screening_samples");
-  record.options.sample_offset = get_i32(file, "record sample_offset");
+  if (get_i32(file, "record reserved slot") != 0)
+    throw TraceFormatError("trace: corrupted record (non-zero reserved slot)");
   record.options.use_uncertainty_router = get_u8(file, "record router flag") != 0;
   record.options.entropy_threshold_nats = get_f64(file, "record entropy threshold");
   const std::uint32_t c = get_u32(file, "record image C");
@@ -346,8 +343,8 @@ Trace read_trace(const std::string& path) {
                            std::to_string(kTraceVersion));
 
   Trace trace;
-  const std::uint32_t flags = get_u32(file.get(), "flags");
-  trace.meta.reuse_screening_samples = (flags & kFlagReuseScreeningSamples) != 0;
+  if (get_u32(file.get(), "flags") != 0)
+    throw TraceFormatError("trace: '" + path + "' sets reserved header flags");
   trace.meta.workload_id = get_u32(file.get(), "workload id");
   trace.meta.sampler_seed = get_u64(file.get(), "sampler seed");
   trace.meta.network_fingerprint = get_u64(file.get(), "network fingerprint");

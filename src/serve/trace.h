@@ -15,8 +15,8 @@
 // Format (version 2, all integers little-endian, written byte-by-byte so
 // the file is identical on every host):
 //
-//   header  : magic u64 ("BNTRACE1"), version u32, flags u32 (bit 0 =
-//             reuse_screening_samples of the recording server), workload id
+//   header  : magic u64 ("BNTRACE1"), version u32, reserved flags u32
+//             (always 0; the reader rejects a non-zero word), workload id
 //             u32 (fixture hint for standalone replay tools; the DEFAULT
 //             model's workload in a multi-model trace), sampler seed
 //             u64, network fingerprint u64 (FNV-1a over the default model's
@@ -26,8 +26,9 @@
 //   record  : seq u64 (submission order), arrival us u64 (offset from
 //             recorder construction), stream id u64, model key u32 + model
 //             version u64 (which registry tenant served it), the full
-//             RequestOptions (S, L, screening S, sample offset, router
-//             flag, entropy threshold as f64 bits), the image ((C, H, W)
+//             RequestOptions (S, L, screening S, a reserved i32 that is
+//             always 0 and rejected if not, router flag, entropy
+//             threshold as f64 bits), the image ((C, H, W)
 //             u32 each + C*H*W f32 bit patterns — traces are self-contained
 //             stimulus streams), the outcome (served / downgraded /
 //             rejected / failed), escalated flag, samples used, predicted
@@ -119,9 +120,6 @@ struct TraceMeta {
   std::uint64_t sampler_seed = 1;
   /// FNV-1a fingerprint of the quantized network (network_fingerprint).
   std::uint64_t network_fingerprint = 0;
-  /// ServerConfig::reuse_screening_samples of the recording server —
-  /// escalated responses depend on it, so the replayer mirrors it.
-  bool reuse_screening_samples = false;
   /// The distinct (model key, model version) tenants the records reference.
   /// Always at least one entry after read_trace (v1 files synthesize a
   /// single entry from the header fields).

@@ -166,35 +166,6 @@ TEST(Accelerator, LaneArenaIsAllocationFreeAndBitIdenticalAfterWarmup) {
   EXPECT_EQ(warm.probs.max_abs_diff(cold.probs), 0.0f);
 }
 
-TEST(Accelerator, SampleOffsetShiftsTheSamplerLaneWindow) {
-  auto& fx = fixture();
-  const std::uint64_t seed = 91;
-  Accelerator accelerator(*fx.qnet, fx.accel_config(true, seed));
-  const data::Batch batch = fx.dataset->batch(0, 2);
-  const int bayes_layers = 2;
-  const int offset = 4;
-  std::vector<Accelerator::ImageRequest> requests;
-  for (int n = 0; n < 2; ++n)
-    requests.push_back({bayes_layers, 3, static_cast<std::uint64_t>(n), offset});
-  const auto shifted = accelerator.predict_batch(batch.images, requests);
-
-  // A request with sample_offset k must consume exactly the lanes
-  // sample_stream_seed(seed, stream, k + s) — the tail window of the
-  // single-request lane family, which is what lets the serving layer's
-  // escalation-reuse mode run only the NEW samples of an escalated request.
-  const auto lanes = [&fx, seed, offset](int image, int sample) {
-    BernoulliSamplerConfig sampler_config;
-    sampler_config.p = fx.qnet->dropout_p;
-    sampler_config.pf = fx.accel_config().nne.pf;
-    sampler_config.seed = Accelerator::sample_stream_seed(
-        seed, static_cast<std::uint64_t>(image), offset + sample);
-    return std::make_unique<BernoulliSampler>(sampler_config);
-  };
-  const nn::Tensor expected =
-      quant::ref_mc_predict(*fx.qnet, batch.images, bayes_layers, 3, lanes, true);
-  EXPECT_EQ(shifted.probs.max_abs_diff(expected), 0.0f);
-}
-
 TEST(Accelerator, KernelTiersProduceBitIdenticalPredictions) {
   auto& fx = fixture();
   const data::Batch batch = fx.dataset->batch(0, 3);

@@ -195,33 +195,6 @@ TEST(Replay, WrongWeightsOrSeedFailFastUnlessDisabled) {
   EXPECT_TRUE(serve::replay_trace(unverified, replay_accelerator(fixture)).ok());
 }
 
-// --- escalation-reuse flag ---------------------------------------------------
-
-TEST(Replay, ReuseScreeningSamplesFlagTravelsInTheHeaderAndReplaysClean) {
-  serve::ScenarioSpec spec;
-  spec.kind = serve::ScenarioKind::adversarial_escalate;
-  spec.num_requests = 6;
-  spec.num_samples = 4;
-  spec.screening_samples = 2;
-  serve::ServerConfig config;
-  config.max_batch = 2;
-  config.reuse_screening_samples = true;
-  const serve::Trace trace =
-      record_scenario(bench::shared_cnn12_fixture(), spec, "reuse.trace", config);
-  EXPECT_TRUE(trace.meta.reuse_screening_samples);
-  ASSERT_EQ(trace.records.size(), 6u);
-  for (const serve::TraceRecord& record : trace.records)
-    EXPECT_TRUE(record.escalated);  // adversarial: everything escalates
-
-  serve::ReplayConfig replay_config;
-  replay_config.num_replicas = 2;
-  replay_config.num_threads = 2;
-  const serve::ReplayReport report = serve::replay_trace(
-      trace, replay_accelerator(bench::shared_cnn12_fixture()), replay_config);
-  EXPECT_TRUE(report.ok()) << serve::replay_summary(report);
-  EXPECT_EQ(report.matched, 6u);
-}
-
 // --- adaptive shedding traces ------------------------------------------------
 
 // Mirrors the deterministic overload fixture of test_serve_cost: a

@@ -273,58 +273,6 @@ TEST(Server, RouterNeverEscalatesBelowThresholdAlwaysAbove) {
   }
 }
 
-TEST(Server, EscalationReuseMergesScreeningWithTheTailSampleWindow) {
-  auto& fx = fixture();
-  EXPECT_FALSE(serve::ServerConfig{}.reuse_screening_samples);  // opt-in knob
-  const data::Batch batch = fx.dataset->batch(0, 3);
-
-  serve::RequestOptions routed;
-  routed.num_samples = 8;
-  routed.bayes_layers = 2;
-  routed.use_uncertainty_router = true;
-  routed.screening_samples = 3;
-  routed.entropy_threshold_nats = -1.0;  // always escalate
-
-  serve::ServerConfig config;
-  config.reuse_screening_samples = true;
-  serve::Server server(core::Accelerator(*fx.qnet, accel_config(0)), config);
-
-  core::Accelerator direct(*fx.qnet, accel_config(1));
-  for (int n = 0; n < 3; ++n) {
-    const std::uint64_t stream = 70u + static_cast<std::uint64_t>(n);
-    const serve::Response response = server.infer(request_for(batch, n, routed, stream));
-    EXPECT_TRUE(response.escalated);
-    EXPECT_EQ(response.samples_used, 8);
-    EXPECT_EQ(response.bayes_layers, 2);
-
-    // The escalation pass must run only the 8 - 3 NEW samples, at
-    // sample_offset 3 of the same lane family, and merge with the server's
-    // exact float weights: p = screen * (3/8) + tail * (5/8).
-    const auto screening =
-        direct.predict_batch(batch.images.batch_row(n), {{2, 3, stream, 0}});
-    const auto tail =
-        direct.predict_batch(batch.images.batch_row(n), {{2, 5, stream, 3}});
-    const float screen_weight = static_cast<float>(3) / static_cast<float>(8);
-    const float tail_weight = static_cast<float>(5) / static_cast<float>(8);
-    for (int k = 0; k < 10; ++k) {
-      const float expected = screening.probs.data()[k] * screen_weight +
-                             tail.probs.data()[k] * tail_weight;
-      EXPECT_EQ(response.probs.data()[k], expected) << "image " << n << " class " << k;
-    }
-    // Reported hardware cost = screening pass + tail pass (not a full S).
-    EXPECT_EQ(response.stats.macs, screening.stats[0].macs + tail.stats[0].macs);
-    EXPECT_DOUBLE_EQ(response.stats.total_cycles,
-                     screening.stats[0].total_cycles + tail.stats[0].total_cycles);
-
-    // Deterministic: repeating the request reproduces the response bit for
-    // bit (merged windows are a pure function of image, options, stream).
-    const serve::Response again = server.infer(request_for(batch, n, routed, stream));
-    EXPECT_EQ(response.probs.max_abs_diff(again.probs), 0.0f);
-    EXPECT_EQ(response.predicted_class, again.predicted_class);
-  }
-  EXPECT_EQ(server.stats().escalations, 6u);
-}
-
 TEST(Server, RouterPartitionsExactlyByScreeningEntropy) {
   auto& fx = fixture();
   const int count = 6;

@@ -76,79 +76,61 @@ serve::Request request_for(const data::Batch& batch, int n, serve::RequestOption
 
 // --- CostModel --------------------------------------------------------------
 
+// Tenant 0 = the network an accelerator serves, priced with the same
+// estimate_mc inputs as Accelerator::estimate.
+std::unique_ptr<serve::CostModel> cost_model_for(const core::Accelerator& accelerator) {
+  const core::AcceleratorConfig& config = accelerator.config();
+  auto model = std::make_unique<serve::CostModel>(core::PerfConfig{config.nne, config.ddr},
+                                                  config.use_intermediate_caching);
+  model->bind_model(0, accelerator.network().describe(),
+                    accelerator.network().resident_weight_bytes());
+  return model;
+}
+
 TEST(CostModel, MatchesEstimateMcAndIsMonotoneInSamples) {
   auto& fx = fixture();
   core::Accelerator accelerator(*fx.qnet, accel_config(1));
-  const auto model = serve::CostModel::for_accelerator(accelerator);
+  const auto model = cost_model_for(accelerator);
 
-  EXPECT_EQ(model->num_sites(), fx.qnet->num_sites);
+  EXPECT_EQ(model->num_sites(0), fx.qnet->num_sites);
   // The model is the accelerator's own estimate, cached.
   for (const int samples : {1, 4, 10}) {
-    EXPECT_DOUBLE_EQ(model->modelled_ms(2, samples),
+    EXPECT_DOUBLE_EQ(model->modelled_ms(0, 2, samples),
                      accelerator.estimate(2, samples).latency_ms);
   }
   // More samples never model as cheaper; more Bayesian depth at fixed S
   // never models as cheaper either (longer stochastic suffix).
-  EXPECT_LT(model->modelled_ms(2, 2), model->modelled_ms(2, 10));
-  EXPECT_LE(model->modelled_ms(1, 10), model->modelled_ms(fx.qnet->num_sites, 10));
+  EXPECT_LT(model->modelled_ms(0, 2, 2), model->modelled_ms(0, 2, 10));
+  EXPECT_LE(model->modelled_ms(0, 1, 10), model->modelled_ms(0, fx.qnet->num_sites, 10));
   // L = -1 resolves to every site.
-  EXPECT_DOUBLE_EQ(model->modelled_ms(-1, 5),
-                   model->modelled_ms(fx.qnet->num_sites, 5));
+  EXPECT_DOUBLE_EQ(model->modelled_ms(0, -1, 5),
+                   model->modelled_ms(0, fx.qnet->num_sites, 5));
 }
 
 TEST(CostModel, RequestCostsReflectRoutingAndDowngrade) {
   auto& fx = fixture();
   core::Accelerator accelerator(*fx.qnet, accel_config(1));
-  const auto model = serve::CostModel::for_accelerator(accelerator);
+  const auto model = cost_model_for(accelerator);
 
   serve::RequestOptions direct;
   direct.num_samples = 10;
   direct.bayes_layers = 2;
   // A direct request is one full pass, worst case included.
-  EXPECT_DOUBLE_EQ(model->first_pass_ms(direct), model->modelled_ms(2, 10));
-  EXPECT_DOUBLE_EQ(model->admission_ms(direct), model->modelled_ms(2, 10));
-  EXPECT_DOUBLE_EQ(model->downgraded_ms(direct), model->modelled_ms(2, 10));
+  EXPECT_DOUBLE_EQ(model->first_pass_ms(0, direct), model->modelled_ms(0, 2, 10));
+  EXPECT_DOUBLE_EQ(model->admission_ms(0, direct), model->modelled_ms(0, 2, 10));
+  EXPECT_DOUBLE_EQ(model->downgraded_ms(0, direct), model->modelled_ms(0, 2, 10));
 
   serve::RequestOptions routed = direct;
   routed.use_uncertainty_router = true;
   routed.screening_samples = 2;
   // Routed: first pass is the cheap screening pass; admission assumes the
   // escalation pass on top; a downgrade strips it back to screening only.
-  EXPECT_DOUBLE_EQ(model->first_pass_ms(routed), model->modelled_ms(2, 2));
-  EXPECT_DOUBLE_EQ(model->admission_ms(routed),
-                   model->modelled_ms(2, 2) + model->modelled_ms(2, 10));
-  EXPECT_DOUBLE_EQ(model->downgraded_ms(routed), model->modelled_ms(2, 2));
-  EXPECT_LT(model->downgraded_ms(routed), model->admission_ms(routed));
+  EXPECT_DOUBLE_EQ(model->first_pass_ms(0, routed), model->modelled_ms(0, 2, 2));
+  EXPECT_DOUBLE_EQ(model->admission_ms(0, routed),
+                   model->modelled_ms(0, 2, 2) + model->modelled_ms(0, 2, 10));
+  EXPECT_DOUBLE_EQ(model->downgraded_ms(0, routed), model->modelled_ms(0, 2, 2));
+  EXPECT_LT(model->downgraded_ms(0, routed), model->admission_ms(0, routed));
 }
-
-TEST(CostModel, EscalationReuseTightensRoutedAdmission) {
-  auto& fx = fixture();
-  core::Accelerator accelerator(*fx.qnet, accel_config(1));
-  auto model = serve::CostModel::for_accelerator(accelerator);
-
-  serve::RequestOptions routed;
-  routed.num_samples = 10;
-  routed.bayes_layers = 2;
-  routed.use_uncertainty_router = true;
-  routed.screening_samples = 2;
-  serve::RequestOptions direct;
-  direct.num_samples = 10;
-  direct.bayes_layers = 2;
-
-  const double classic = model->admission_ms(routed);
-  model->set_escalation_reuse(true);
-  // With screening-sample reuse the escalation pass only runs the NEW
-  // samples, so worst-case admission is screening + (full - screening).
-  EXPECT_DOUBLE_EQ(model->admission_ms(routed),
-                   model->modelled_ms(2, 2) + model->modelled_ms(2, 8));
-  EXPECT_LT(model->admission_ms(routed), classic);
-  // Non-routed requests have no escalation pass to shrink.
-  EXPECT_DOUBLE_EQ(model->admission_ms(direct), model->modelled_ms(2, 10));
-  model->set_escalation_reuse(false);
-  EXPECT_DOUBLE_EQ(model->admission_ms(routed), classic);
-}
-
-// --- calibration ------------------------------------------------------------
 
 TEST(PerfCalibration, ScalesModelledLatencyAndGuardsInputs) {
   const core::PerfCalibration calibration = core::calibrate_perf(30.0, 10.0);

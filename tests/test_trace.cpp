@@ -4,7 +4,8 @@
 //   - write_trace/read_trace round-trip a trace bit-exactly and the written
 //     bytes are a pure function of the in-memory trace,
 //   - a reader rejects bad magic, unsupported versions, truncation at every
-//     prefix, trailing bytes, and out-of-range fields with TraceFormatError,
+//     prefix, trailing bytes, out-of-range fields, and non-zero reserved
+//     fields with TraceFormatError,
 //   - TraceRecorder journals out-of-order completions in submission order,
 //     completes idempotently, marks stragglers failed, and leaves a
 //     valid-but-empty file until the first flush,
@@ -45,14 +46,13 @@ void write_bytes(const std::string& path, const std::vector<unsigned char>& byte
 }
 
 // A trace exercising every field: routed + direct options, an infinite
-// entropy threshold, a nonzero sample offset, a record with no response
+// entropy threshold, a record with no response
 // (rejected, checksum 0), and an admission trailer.
 serve::Trace sample_trace() {
   serve::Trace trace;
   trace.meta.workload_id = 7;
   trace.meta.sampler_seed = 99;
   trace.meta.network_fingerprint = 0x1234abcd5678ef01ull;
-  trace.meta.reuse_screening_samples = true;
 
   serve::TraceRecord served;
   served.seq = 0;
@@ -63,7 +63,6 @@ serve::Trace sample_trace() {
   served.options.use_uncertainty_router = true;
   served.options.screening_samples = 2;
   served.options.entropy_threshold_nats = std::numeric_limits<double>::infinity();
-  served.options.sample_offset = 4;
   served.image_c = 1;
   served.image_h = 2;
   served.image_w = 3;
@@ -107,7 +106,6 @@ void expect_traces_equal(const serve::Trace& a, const serve::Trace& b) {
   EXPECT_EQ(a.meta.workload_id, b.meta.workload_id);
   EXPECT_EQ(a.meta.sampler_seed, b.meta.sampler_seed);
   EXPECT_EQ(a.meta.network_fingerprint, b.meta.network_fingerprint);
-  EXPECT_EQ(a.meta.reuse_screening_samples, b.meta.reuse_screening_samples);
   ASSERT_EQ(a.records.size(), b.records.size());
   for (std::size_t i = 0; i < a.records.size(); ++i) {
     const serve::TraceRecord& x = a.records[i];
@@ -122,7 +120,6 @@ void expect_traces_equal(const serve::Trace& a, const serve::Trace& b) {
     // Bitwise (not value) equality: +inf and NaN thresholds must survive.
     EXPECT_EQ(std::bit_cast<std::uint64_t>(x.options.entropy_threshold_nats),
               std::bit_cast<std::uint64_t>(y.options.entropy_threshold_nats));
-    EXPECT_EQ(x.options.sample_offset, y.options.sample_offset);
     EXPECT_EQ(x.image_c, y.image_c);
     EXPECT_EQ(x.image_h, y.image_h);
     EXPECT_EQ(x.image_w, y.image_w);
@@ -331,6 +328,29 @@ TEST(TraceFormat, RejectsOutOfRangeOutcomeAndAbsurdDimensions) {
   ASSERT_TRUE(patched) << "could not locate the (C, H, W) field";
   write_bytes(path, bad);
   EXPECT_THROW(serve::read_trace(path), serve::TraceFormatError);
+}
+
+TEST(TraceFormat, RejectsNonZeroReservedFlagsAndRecordSlot) {
+  // The committed v1 golden keeps the reserved words at 0 and reads clean;
+  // setting either one must be a format error, not a silent replay.
+  const std::vector<unsigned char> golden =
+      file_bytes(std::string(BNN_TEST_DATA_DIR) + "/golden_burst.trace");
+  const std::string path = temp_path("reserved.trace");
+  write_bytes(path, golden);
+  ASSERT_EQ(serve::read_trace(path).meta.models.size(), 1u);
+
+  // magic(8) version(4), then the flags word.
+  constexpr std::size_t kFlagsOffset = 12;
+  // The v1 header is 52 bytes; a record opens with seq, arrival, and stream
+  // id (u64 each) and S, L, screening S (i32 each), then the reserved slot.
+  constexpr std::size_t kFirstSlotOffset = 52 + 3 * 8 + 3 * 4;
+  for (const std::size_t offset : {kFlagsOffset, kFirstSlotOffset}) {
+    std::vector<unsigned char> bytes = golden;
+    ASSERT_EQ(bytes[offset], 0u) << "offset " << offset;
+    bytes[offset] = 1;
+    write_bytes(path, bytes);
+    EXPECT_THROW(serve::read_trace(path), serve::TraceFormatError) << "offset " << offset;
+  }
 }
 
 // --- TraceRecorder -----------------------------------------------------------

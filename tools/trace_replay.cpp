@@ -94,13 +94,12 @@ int replay_one_trace(const std::string& trace_path, const serve::ReplayConfig& c
                      bool matrix) {
   const serve::Trace trace = serve::read_trace(trace_path);
   std::printf("trace %s: workload %u, %zu records, %zu admission decisions, "
-              "seed %llu, fingerprint %016llx, %zu model(s)%s\n",
+              "seed %llu, fingerprint %016llx, %zu model(s)\n",
               trace_path.c_str(), trace.meta.workload_id, trace.records.size(),
               trace.admission.size(),
               static_cast<unsigned long long>(trace.meta.sampler_seed),
               static_cast<unsigned long long>(trace.meta.network_fingerprint),
-              trace.meta.models.size(),
-              trace.meta.reuse_screening_samples ? ", escalation reuse" : "");
+              trace.meta.models.size());
 
   // The header (or, multi-model, each model-table entry) names the
   // fixture; the sampler seed travels with the trace so the replaying
